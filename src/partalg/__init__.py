@@ -30,6 +30,7 @@ from .diagram import (
     multiply,
     parse_diagram,
     parse_rect_diagram,
+    partition_algebra_generators,
     rect_compose,
 )
 from .rep import PermWord, SparseMat, act, entry, eval_at, matrix, perm_matrix, tuple_rank

@@ -24,6 +24,7 @@ __all__ = [
     "Poly",
     "AlgebraElement",
     "identity",
+    "partition_algebra_generators",
     "concat",
     "multiply",
     "flip",
@@ -88,6 +89,31 @@ def identity(k: int) -> Diagram:
     if k < 1:
         raise ValueError("k must be a positive integer")
     return Diagram(k, SetPartition(tuple(range(k)) * 2))
+
+
+def partition_algebra_generators(k: int) -> list[Diagram]:
+    """Diagrams that generate the partition algebra on k strands.
+
+    Halverson and Ram generate it by the transpositions s_i, the
+    projections p_i (strand i cut into two singletons) and the joins
+    p_{i+1/2} (strands i and i+1 fused into one block).  Conjugating by the
+    symmetric group, which s_1 and the long strand cycle generate, leaves
+    four diagrams: p_1, s_1, the cycle and b_1 = p_{3/2}.  At k = 2 the cycle
+    is s_1, and at k = 1 only p_1 remains.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    top = tuple(range(k))
+    gens = [Diagram(k, SetPartition(top + (k,) + top[1:]))]  # p_1
+    if k == 1:
+        return gens
+    rest = tuple(range(2, k))
+    gens.append(Diagram(k, SetPartition((0, 1) + rest + (1, 0) + rest)))  # s_1
+    if k > 2:
+        gens.append(Diagram(k, SetPartition(top + (k - 1,) + top[:-1])))  # long cycle
+    b = (0, 0) + tuple(range(1, k - 1))
+    gens.append(Diagram(k, SetPartition(b + b)))  # b_1
+    return gens
 
 
 def is_uniform(d: Diagram) -> bool:

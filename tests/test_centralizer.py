@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -16,7 +17,7 @@ from partalg.centralizer import (
     symmetric_group_generators,
     verify_schur_weyl,
 )
-from partalg.diagram import enumerate_diagrams
+from partalg.diagram import enumerate_diagrams, partition_algebra_generators
 from partalg.rep import PermWord, SparseMat, matrix, perm_matrix
 from partalg.setpart import orbit_partition
 
@@ -102,6 +103,15 @@ def test_commutant_generators_suffice():
     assert commutant_dimension(gen_mats) == commutant_dimension(all_mats) == 14
 
 
+def test_diagram_generators_have_the_full_basis_commutant():
+    # the full basis is only an oracle here; verify_schur_weyl uses generators
+    cases = [(n, 1) for n in (1, 2, 3, 4)] + [(2, 2), (3, 2), (4, 2), (1, 3), (2, 3)]
+    for n, k in cases:
+        basis = [matrix(d, n) for d in enumerate_diagrams(k)]
+        gens = [matrix(d, n) for d in partition_algebra_generators(k)]
+        assert commutant_dimension(gens) == commutant_dimension(basis), (n, k)
+
+
 def test_symmetric_group_generators_cover_edge_sizes():
     assert symmetric_group_generators(1) == [PermWord.identity(1)]
     assert symmetric_group_generators(2) == [PermWord((2, 1))]
@@ -167,6 +177,44 @@ def test_verify_schur_weyl_small_sizes():
     assert rep.centralizer_dim == rep.diagram_span_rank == rep.commutant_of_perms_dim == 15
     assert rep.perm_span_dim == rep.commutant_of_diagrams_dim == 23
     assert rep.surjectivity_verdict and rep.double_commutant_verdict
+
+
+def _integer_partitions(n: int, largest: int | None = None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _integer_partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _standard_tableaux(shape: tuple[int, ...]) -> int:
+    # hook-length formula
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = (shape[i] - j + cols[j] - i - 1 for i in range(len(shape)) for j in range(shape[i]))
+    return factorial(sum(shape)) // prod(hooks)
+
+
+def _perm_span_closed_form(n: int, k: int) -> int:
+    # dimension of the image of C[S_n] in End(V^{(x)k}): sum of (f^lambda)^2
+    # over the irreducibles lambda that occur, those with n - lambda_1 <= k
+    return sum(
+        _standard_tableaux(shape) ** 2
+        for shape in _integer_partitions(n)
+        if n - shape[0] <= k
+    )
+
+
+def test_perm_span_and_diagram_commutant_match_the_closed_form():
+    expected = {1: [1, 2, 5, 10, 17], 2: [1, 2, 6, 23, 78]}
+    for k, dims in expected.items():
+        assert [_perm_span_closed_form(n, k) for n in range(1, 6)] == dims
+    for k in (1, 2):
+        for n in range(1, 6):
+            rep = verify_schur_weyl(n, k)
+            closed = _perm_span_closed_form(n, k)
+            assert rep.perm_span_dim == rep.commutant_of_diagrams_dim == closed, (n, k)
 
 
 def test_verify_schur_weyl_below_stable_range_still_consistent():

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import partalg
 from partalg.cli import main, parse
 from partalg.diagram import parse_diagram
 
@@ -251,9 +254,13 @@ def test_budget_errors_surface_as_runtime_failures(capsys):
 
 
 def test_module_entry_point_runs_in_a_subprocess():
+    # the child imports the same partalg as this process, installed or not
+    src = str(Path(partalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "partalg.cli", "count", "bell", "--g", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0 and proc.stdout == "15\n"

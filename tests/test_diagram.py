@@ -20,6 +20,7 @@ from partalg.diagram import (
     multiply,
     parse_diagram,
     parse_rect_diagram,
+    partition_algebra_generators,
     rect_compose,
 )
 from partalg.setpart import SetPartition, enumerate_partitions, from_blocks
@@ -120,6 +121,38 @@ def test_concat_with_identity_is_neutral():
 def test_concat_k_mismatch():
     with pytest.raises(ValueError):
         concat(identity(2), identity(3))
+
+
+def test_generators_reach_every_diagram():
+    # closure of the identity under right multiplication by the generators
+    for k, bell in ((1, 2), (2, 15), (3, 203), (4, 4140)):
+        gens = partition_algebra_generators(k)
+        reached = {identity(k)}
+        frontier = list(reached)
+        while frontier:
+            fresh = []
+            for d in frontier:
+                for g in gens:
+                    e, _ = concat(d, g)
+                    if e not in reached:
+                        reached.add(e)
+                        fresh.append(e)
+            frontier = fresh
+        assert len(reached) == bell
+        assert reached == set(enumerate_diagrams(k))
+
+
+def test_generators_edge_sizes():
+    assert [len(partition_algebra_generators(k)) for k in (1, 2, 3, 4)] == [1, 3, 4, 4]
+    assert [d.to_text() for d in partition_algebra_generators(1)] == ["1|1'"]
+    assert [d.to_text() for d in partition_algebra_generators(2)] == [
+        "1|2,2'|1'",
+        "1,2'|2,1'",
+        "1,2,1',2'",
+    ]
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            partition_algebra_generators(k)
 
 
 def test_concat_singleton_strand_swallows_a_component():
