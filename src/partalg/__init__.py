@@ -40,6 +40,7 @@ from .centralizer import (
     centralizer_dimension,
     commutant_dimension,
     perm_span_dim,
+    perm_span_expected,
     span_rank,
     verify_schur_weyl,
 )

@@ -3,18 +3,21 @@
 Ranks are computed by incremental elimination over the integers: each row
 is cleared of denominators, reduced against the current echelon basis with
 two-term integer combinations, and gcd-normalized, so no floating point or
-rational division ever occurs and the result is reproducible.
+rational division ever occurs and the result is reproducible.  Integral
+entries, which every entry of a diagram or permutation matrix is, become
+plain ints when a row is read and stay ints throughout, so no `Fraction` is
+built on that path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from math import factorial, gcd, prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagram import enumerate_diagrams, partition_algebra_generators
-from .rep import PermWord, SparseMat, matrix, perm_matrix
+from .rep import BudgetExceededError, PermWord, SparseMat, matrix, perm_matrix
 from .setpart import count_partitions
 
 __all__ = [
@@ -26,6 +29,7 @@ __all__ = [
     "commutant_dimension",
     "centralizer_dimension",
     "perm_span_dim",
+    "perm_span_expected",
     "symmetric_group_generators",
     "VerificationReport",
     "verify_schur_weyl",
@@ -36,31 +40,50 @@ SPAN_DIM_LIMIT = 1296
 COMMUTANT_DIM_LIMIT = 256
 
 
-class BudgetExceededError(RuntimeError):
-    """A requested computation is outside the configured resource budget."""
-
-
 def _integer_row(row: Mapping[int, object]) -> dict[int, int]:
-    """Clear denominators and divide out the content; leading entry positive."""
-    fracs = {i: Fraction(v) for i, v in row.items() if v}
-    if not fracs:
+    """Clear denominators and divide out the content; leading entry positive.
+
+    Entries are ints or Fractions (any rational with `numerator` and
+    `denominator`); an all-integer row skips the denominator step.
+    """
+    items = [(i, v) for i, v in row.items() if v]
+    if not items:
         return {}
     denom = 1
-    for v in fracs.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {i: int(v * denom) for i, v in fracs.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {i: v // g for i, v in ints.items()}
+    for _, v in items:
+        q = v.denominator
+        if q != 1:
+            denom = denom * q // gcd(denom, q)
+    if denom == 1:
+        ints = {i: v.numerator for i, v in items}
+    else:
+        ints = {i: v.numerator * (denom // v.denominator) for i, v in items}
+    g = _content(ints)
     if ints[min(ints)] < 0:
-        ints = {i: -v for i, v in ints.items()}
+        g = -g
+    if g != 1:
+        ints = {i: v // g for i, v in ints.items()}
     return ints
 
 
+def _content(ints: dict[int, int]) -> int:
+    """gcd of the entries (0 for an empty row), stopping once it reaches 1."""
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+        if g == 1:
+            break
+    return g
+
+
 def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
-    """Rank of a set of sparse rational rows, by exact integer elimination."""
+    """Rank of a set of sparse rational rows, by exact integer elimination.
+
+    Each row is made a primitive integer row, then reduced against the
+    echelon basis (one row per pivot column): r := r * b[c] - b * r[c],
+    divided by its content.  When the basis pivot b[c] is 1, r is copied
+    rather than scaled.
+    """
     basis: dict[int, dict[int, int]] = {}
     for row in rows:
         r = _integer_row(row)
@@ -72,16 +95,14 @@ def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
                 break
             # r := r * b[c] - b * r[c]; the pivot column cancels exactly.
             rc, bc = r[c], b[c]
-            merged = {i: v * bc for i, v in r.items()}
+            merged = dict(r) if bc == 1 else {i: v * bc for i, v in r.items()}
             for i, v in b.items():
                 nv = merged.get(i, 0) - v * rc
                 if nv:
                     merged[i] = nv
                 else:
-                    merged.pop(i, None)
-            g = 0
-            for v in merged.values():
-                g = gcd(g, v)
+                    del merged[i]
+            g = _content(merged)
             if g > 1:
                 merged = {i: v // g for i, v in merged.items()}
             r = merged
@@ -126,24 +147,35 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
         raise BudgetExceededError(
             f"commutant at dimension {dim} exceeds the limit {COMMUTANT_DIM_LIMIT}"
         )
-    rows: list[dict[int, Fraction]] = []
-    for g in gens:
-        eq: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for j, l, v in g.triples:  # (XG)_{i,l} picks up v * X[i,j]
-            for i in range(dim):
-                d = eq.setdefault((i, l), {})
-                key = i * dim + j
-                d[key] = d.get(key, Fraction(0)) + v
-        for i, j, v in g.triples:  # (GX)_{i,l} picks up v * X[j,l]
-            for l in range(dim):
-                d = eq.setdefault((i, l), {})
+    return dim * dim - rank_of_rows(row for g in gens for row in _commutator_rows(g))
+
+
+def _commutator_rows(g: SparseMat) -> Iterator[dict[int, int | Fraction]]:
+    """The nonzero rows of XG - GX = 0, position (i, l) by position, in order.
+
+    Unknown X[i, j] is column i * dim + j.  Integral entries of G (all of
+    them, for diagram and permutation matrices) enter the rows as ints.
+    """
+    dim = g.dim
+    g_rows: list[list] = [[] for _ in range(dim)]
+    g_cols: list[list] = [[] for _ in range(dim)]
+    for r, c, v in g.triples:
+        v = v.numerator if v.denominator == 1 else v
+        g_rows[r].append((c, v))
+        g_cols[c].append((r, v))
+    for i in range(dim):
+        row_i = g_rows[i]
+        for l in range(dim):
+            row = {i * dim + j: v for j, v in g_cols[l]}  # (XG)_{i,l} = sum_j X[i,j] G[j,l]
+            for j, v in row_i:  # (GX)_{i,l} = sum_j G[i,j] X[j,l]
                 key = j * dim + l
-                d[key] = d.get(key, Fraction(0)) - v
-        for pos in sorted(eq):
-            row = {idx: v for idx, v in eq[pos].items() if v}
+                nv = row.get(key, 0) - v
+                if nv:
+                    row[key] = nv
+                else:
+                    del row[key]
             if row:
-                rows.append(row)
-    return dim * dim - rank_of_rows(rows)
+                yield row
 
 
 def centralizer_dimension(n: int, k: int) -> int:
@@ -186,6 +218,40 @@ def perm_span_dim(n: int, k: int) -> int:
     return rank_of_rows(rows)
 
 
+def _partitions(m: int, largest: int):
+    """Integer partitions of m into parts of at most `largest`, as weakly decreasing tuples."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
+def _standard_tableaux(shape: tuple[int, ...]) -> int:
+    """f^shape, the number of standard Young tableaux, by the hook-length formula."""
+    cols = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+    hooks = prod(shape[i] - j + cols[j] - i - 1 for i in range(len(shape)) for j in range(shape[i]))
+    return factorial(sum(shape)) // hooks
+
+
+def perm_span_expected(n: int, k: int) -> int:
+    """Closed form of perm_span_dim: the sum of (f^lambda)^2 over lambda |- n with n - lambda_1 <= k.
+
+    Those lambda are the irreducible S_n-modules that occur in the k-th
+    tensor power of the permutation module, so this is the dimension of the
+    image of the group algebra in End(V^(tensor k)).  No elimination is
+    involved, so it checks the computed ranks independently.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("n and k must be positive integers")
+    total = 0
+    for first in range(n, max(n - k, 1) - 1, -1):  # lambda_1 >= n - k
+        for rest in _partitions(n - first, first):
+            total += _standard_tableaux((first,) + rest) ** 2
+    return total
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Exact dimension bookkeeping for one (n, k) centralizer check."""
@@ -197,6 +263,7 @@ class VerificationReport:
     commutant_of_perms_dim: int
     perm_span_dim: int
     commutant_of_diagrams_dim: int
+    perm_span_expected: int
 
     @property
     def surjectivity_verdict(self) -> bool:
@@ -207,8 +274,11 @@ class VerificationReport:
 
     @property
     def double_commutant_verdict(self) -> bool:
-        """Commuting with every diagram matrix forces membership in the perm span."""
-        return self.commutant_of_diagrams_dim == self.perm_span_dim
+        """Commuting with every diagram matrix forces membership in the perm span.
+
+        Both computed ranks must also equal the closed form perm_span_expected.
+        """
+        return self.commutant_of_diagrams_dim == self.perm_span_dim == self.perm_span_expected
 
     def to_json(self) -> dict:
         return {
@@ -232,7 +302,8 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     only the matrices of `partition_algebra_generators(k)`: matrix(d1) @
     matrix(d2) = n^m * matrix(d1 o d2) with n >= 1, so those matrices and
     the identity generate the diagram span as an algebra, and both have the
-    same commutant at every n.
+    same commutant at every n.  The double-commutant verdict also compares
+    both computed ranks with the closed form `perm_span_expected`.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
@@ -247,4 +318,5 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
         commutant_of_perms_dim=commutant_dimension(perm_gens),
         perm_span_dim=perm_span_dim(n, k),
         commutant_of_diagrams_dim=commutant_dimension(diag_gens),
+        perm_span_expected=perm_span_expected(n, k),
     )

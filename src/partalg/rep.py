@@ -4,19 +4,24 @@ The module realizes a k-strand diagram as an n^k by n^k matrix over the
 rationals.  Rows are indexed by top-row tuples (outputs) and columns by
 bottom-row tuples (inputs); tuples over {1, ..., n} are ranked
 lexicographically with the leftmost entry most significant.
+
+Matrix entries are always `Fraction`s.  Diagram and permutation matrices
+share one `Fraction(1)` object as every nonzero entry, so building them
+allocates no number per entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .diagram import AlgebraElement, Diagram
 from .rational import frac_str
 
 __all__ = [
+    "BudgetExceededError",
+    "MATRIX_NNZ_LIMIT",
     "SparseMat",
     "PermWord",
     "tuple_rank",
@@ -27,6 +32,16 @@ __all__ = [
     "eval_at",
     "act",
 ]
+
+# Hard ceiling on the nonzeros of one diagram matrix, checked before anything
+# is allocated; exceeding it is an error, never a silent fallback.
+MATRIX_NNZ_LIMIT = 2**20
+
+_ONE = Fraction(1)
+
+
+class BudgetExceededError(RuntimeError):
+    """A requested computation is outside the configured resource budget."""
 
 
 class SparseMat:
@@ -49,14 +64,15 @@ class SparseMat:
         for r, c, v in items:
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"coordinate ({r}, {c}) outside a {dim} by {dim} matrix")
-            f = Fraction(v)
+            f = v if isinstance(v, Fraction) else Fraction(v)
             if f:
                 key = (r, c)
-                s = acc.get(key, Fraction(0)) + f
+                s = acc.get(key)
+                s = f if s is None else s + f
                 if s:
                     acc[key] = s
                 else:
-                    acc.pop(key, None)
+                    del acc[key]
         self.dim = dim
         self.triples = tuple(sorted((r, c, v) for (r, c), v in acc.items()))
 
@@ -172,21 +188,30 @@ def matrix(d: Diagram, n: int) -> SparseMat:
     """The n^k by n^k 0/1 matrix of d, columns indexed by bottom tuples.
 
     Nonzero positions correspond bijectively to assignments of a value in
-    {1, ..., n} to each block, so they are generated directly rather than
-    by scanning all n^2k entry pairs.
+    {1, ..., n} to each block.  Giving a block the value x + 1 adds x times
+    its top place value (the sum of n^(k-1-i) over its top vertices i) to
+    the row rank and x times its bottom place value to the column rank, so
+    positions are generated block by block without ranking any tuple.
+
+    Raises BudgetExceededError, before allocating anything, when the
+    n^(number of blocks) nonzeros would exceed MATRIX_NNZ_LIMIT.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     k = d.k
     blocks = d.part.blocks
-    entries = {}
-    for assign in product(range(1, n + 1), repeat=len(blocks)):
-        vals = [0] * (2 * k)
-        for x, block in zip(assign, blocks):
-            for v in block:
-                vals[v] = x
-        entries[(tuple_rank(vals[:k], n), tuple_rank(vals[k:], n))] = 1
-    return SparseMat(n**k, entries)
+    if n ** len(blocks) > MATRIX_NNZ_LIMIT:
+        raise BudgetExceededError(
+            f"matrix at n = {n} of a {len(blocks)}-block diagram has {n}^{len(blocks)} nonzeros,"
+            f" over the limit {MATRIX_NNZ_LIMIT}"
+        )
+    place = [n ** (k - 1 - i) for i in range(k)] * 2
+    cells = [(0, 0)]
+    for block in blocks:
+        top = sum(place[v] for v in block if v < k)
+        bottom = sum(place[v] for v in block if v >= k)
+        cells = [(r + x * top, c + x * bottom) for r, c in cells for x in range(n)]
+    return SparseMat(n**k, [(r, c, _ONE) for r, c in cells])
 
 
 @dataclass(frozen=True)
@@ -249,10 +274,11 @@ def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
     if k < 0:
         raise ValueError("k must be non-negative")
     n = sigma.n
-    entries = {}
-    for t in product(range(1, n + 1), repeat=k):
-        entries[(tuple_rank(sigma.apply(t), n), tuple_rank(t, n))] = 1
-    return SparseMat(n**k, entries)
+    images = [v - 1 for v in sigma.images]
+    cells = [(0, 0)]
+    for _ in range(k):  # append one tuple position at a time
+        cells = [(r * n + images[x], c * n + x) for r, c in cells for x in range(n)]
+    return SparseMat(n**k, [(r, c, _ONE) for r, c in cells])
 
 
 def eval_at(elem: AlgebraElement, n: int) -> SparseMat:

@@ -3,15 +3,20 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partalg.centralizer import (
     BudgetExceededError,
+    VerificationReport,
+    _integer_row,
     centralizer_dimension,
     commutant_dimension,
     perm_span_dim,
+    perm_span_expected,
     rank_of_rows,
     span_rank,
     symmetric_group_generators,
@@ -63,6 +68,53 @@ def test_rank_of_rows_edge_cases():
     combo = {0: Fraction(2), 1: Fraction(-2), 2: Fraction(6)}  # 2*r1 - r2
     assert rank_of_rows([r1, r2, combo]) == 2
     assert rank_of_rows([r1, {c: 7 * v for c, v in r1.items()}]) == 1
+
+
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+NONZERO_RATIONALS = RATIONALS.filter(bool)
+WIDTH = 8
+INT_ROWS = st.lists(st.dictionaries(st.integers(0, WIDTH - 1), st.integers(-5, 5), max_size=6), max_size=10)
+RATIONAL_ROWS = st.lists(st.dictionaries(st.integers(0, WIDTH - 1), RATIONALS, max_size=6), max_size=10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=INT_ROWS, data=st.data())
+def test_rank_of_rows_ignores_row_order_and_nonzero_scaling(rows, data):
+    order = data.draw(st.permutations(range(len(rows))))
+    scales = data.draw(st.lists(NONZERO_RATIONALS, min_size=len(rows), max_size=len(rows)))
+    moved = [{c: s * v for c, v in rows[i].items()} for i, s in zip(order, scales)]
+    assert rank_of_rows(moved) == rank_of_rows(rows) == _dense_rank(rows, WIDTH)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=RATIONAL_ROWS)
+def test_rank_of_rows_agrees_on_int_and_fraction_entries(rows):
+    # each row cleared of its denominators, as plain ints, as Fractions, and
+    # with int and Fraction entries mixed within one row
+    cleared = []
+    for row in rows:
+        lcm = 1
+        for v in row.values():
+            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        cleared.append({c: int(v * lcm) for c, v in row.items()})
+    as_fractions = [{c: Fraction(v) for c, v in row.items()} for row in cleared]
+    mixed = [{c: Fraction(v) if (i + c) % 2 else v for c, v in row.items()} for i, row in enumerate(cleared)]
+    rank = _dense_rank(rows, WIDTH)
+    assert rank_of_rows(rows) == rank_of_rows(cleared) == rank
+    assert rank_of_rows(as_fractions) == rank_of_rows(mixed) == rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=st.dictionaries(st.integers(0, 9), st.one_of(st.integers(-6, 6), RATIONALS), max_size=6))
+def test_integer_row_is_the_primitive_row_with_positive_lead(row):
+    out = _integer_row(row)
+    support = sorted(c for c, v in row.items() if v)
+    assert sorted(out) == support
+    if support:
+        assert all(type(v) is int for v in out.values())
+        assert out[support[0]] > 0 and gcd(*out.values()) == 1
+        scale = Fraction(out[support[0]]) / row[support[0]]
+        assert all(out[c] == scale * row[c] for c in support)
 
 
 def test_span_rank_of_diagram_matrices():
@@ -215,6 +267,19 @@ def test_perm_span_and_diagram_commutant_match_the_closed_form():
             rep = verify_schur_weyl(n, k)
             closed = _perm_span_closed_form(n, k)
             assert rep.perm_span_dim == rep.commutant_of_diagrams_dim == closed, (n, k)
+            assert rep.perm_span_expected == closed and rep.double_commutant_verdict
+    for n in range(1, 9):
+        for k in range(1, 5):
+            assert perm_span_expected(n, k) == _perm_span_closed_form(n, k), (n, k)
+    with pytest.raises(ValueError):
+        perm_span_expected(0, 1)
+
+
+def test_double_commutant_verdict_needs_the_closed_form():
+    rep = verify_schur_weyl(3, 2)
+    assert rep.double_commutant_verdict
+    fields = {**vars(rep), "perm_span_expected": rep.perm_span_expected + 1}
+    assert not VerificationReport(**fields).double_commutant_verdict
 
 
 def test_verify_schur_weyl_below_stable_range_still_consistent():

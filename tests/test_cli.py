@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,17 @@ def test_unknown_subcommand_exits_with_usage_code():
 def test_budget_errors_surface_as_runtime_failures(capsys):
     code, _, err = run(capsys, "verify", "schur-weyl", "--n", "6", "--k", "2")
     assert code == 1 and "error:" in err
+
+
+def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
+    # 30^7 nonzeros: refused before anything is allocated
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "rep", "matrix", "--k", "6", "--diagram", "1|2|3|4|5|6|1',2',3',4',5',6'", "--n", "30"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -5,9 +5,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partalg.diagram import AlgebraElement, Poly, concat, enumerate_diagrams, identity, multiply, parse_diagram
+import partalg
+from partalg import centralizer, rep
+from partalg.diagram import AlgebraElement, Diagram, Poly, concat, enumerate_diagrams, identity, multiply, parse_diagram
 from partalg.rep import (
+    BudgetExceededError,
     PermWord,
     SparseMat,
     act,
@@ -18,6 +23,7 @@ from partalg.rep import (
     tuple_rank,
     unrank_tuple,
 )
+from partalg.setpart import SetPartition
 
 D2 = list(enumerate_diagrams(2))
 
@@ -60,6 +66,43 @@ def test_matrix_against_entry_by_entry_oracle():
         for top in product(range(1, n + 1), repeat=2):
             for bot in product(range(1, n + 1), repeat=2):
                 assert dense[tuple_rank(top, n)][tuple_rank(bot, n)] == entry(d, top, bot)
+
+
+@st.composite
+def diagrams(draw, max_k: int = 3) -> Diagram:
+    k = draw(st.integers(1, max_k))
+    labels = draw(st.lists(st.integers(0, 2 * k - 1), min_size=2 * k, max_size=2 * k))
+    first_seen: dict[int, int] = {}
+    return Diagram(k, SetPartition(tuple(first_seen.setdefault(x, len(first_seen)) for x in labels)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=diagrams(), n=st.integers(1, 4))
+def test_matrix_matches_the_entrywise_definition(d, n):
+    tuples = list(product(range(1, n + 1), repeat=d.k))
+    expected = [(tuple_rank(t, n), tuple_rank(b, n), 1) for t in tuples for b in tuples if entry(d, t, b)]
+    m = matrix(d, n)
+    assert m == SparseMat(n**d.k, expected)
+    assert all(type(v) is Fraction for _, _, v in m.triples)
+
+
+@settings(max_examples=30, deadline=None)
+@given(images=st.integers(1, 4).flatmap(lambda n: st.permutations(range(1, n + 1))), k=st.integers(0, 3))
+def test_perm_matrix_matches_the_diagonal_action(images, k):
+    s = PermWord(tuple(images))
+    tuples = product(range(1, s.n + 1), repeat=k)
+    assert perm_matrix(s, k) == SparseMat(s.n**k, [(tuple_rank(s.apply(t), s.n), tuple_rank(t, s.n), 1) for t in tuples])
+
+
+def test_matrix_checks_the_nonzero_budget_before_building(monkeypatch):
+    assert partalg.BudgetExceededError is centralizer.BudgetExceededError is BudgetExceededError
+    singletons = parse_diagram("1|2|3|4|5|6|1',2',3',4',5',6'")
+    with pytest.raises(BudgetExceededError):
+        matrix(singletons, 30)  # 30^7 nonzeros
+    monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
+    assert matrix(parse_diagram("1|2|1'|2'"), 2).nnz == 16
+    with pytest.raises(BudgetExceededError):
+        matrix(parse_diagram("1|2|3,1'|2'|3'"), 2)
 
 
 def test_matrix_golden_swap():
@@ -190,6 +233,7 @@ def test_act_applies_matrix_to_coordinates():
 def test_sparse_mat_accumulates_and_drops_zeros():
     m = SparseMat(2, [(0, 0, Fraction(1)), (0, 0, Fraction(-1)), (1, 0, Fraction(2))])
     assert m.nnz == 1 and m.entry(1, 0) == 2 and m.entry(0, 0) == 0
+    assert [type(v) for _, _, v in SparseMat(2, [(0, 1, 3), (1, 1, "1/2")]).triples] == [Fraction, Fraction]
     assert SparseMat(2, {}) == SparseMat(2, [])
     with pytest.raises(ValueError):
         SparseMat(2, [(2, 0, Fraction(1))])
