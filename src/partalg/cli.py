@@ -1,8 +1,17 @@
-"""Command line front end.
+"""Command line front end.  Results go to stdout, diagnostics to stderr.
+With --json every result is one compact JSON document per line.  Exit code
+0 means every requested check passed; usage problems exit 2, runtime
+failures exit 1.
 
-Results go to stdout, diagnostics to stderr.  With --json every result is
-one compact JSON document per line.  Exit code 0 means every requested
-check passed; usage problems exit 2, runtime failures exit 1.
+Every subcommand is one entry of `_COMMANDS`, keyed by "group action".  An
+entry holds the subcommand's argparse flags, a validator that turns the
+parsed flags into a payload dict or raises UsageError, a runner that takes
+the payload as keyword arguments and returns (documents, exit code), and a
+formatter that turns one document into its plain-text lines.  The parser,
+`parse` and `execute` are written once over that table, and `execute` is
+the only place that prints: one compact JSON line per document with
+--json, otherwise the formatter's lines.  Adding a subcommand means adding
+one entry.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Callable, Iterable, NamedTuple
 
 from . import centralizer, diagram, rational, rep, seqmodel, setpart
 
@@ -30,82 +40,67 @@ class Command:
     json_mode: bool
 
 
+class _Spec(NamedTuple):
+    flags: dict[str, dict]
+    validate: Callable[[argparse.Namespace], dict]
+    run: Callable[..., tuple[Iterable[dict], int]]
+    format: Callable[[dict], list[str]]
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="partalg", description=__doc__)
+    # the help text is the docstring's first paragraph; the rest is for developers
+    p = argparse.ArgumentParser(prog="partalg", description=__doc__.split("\n\n")[0])
     groups = p.add_subparsers(dest="group", required=True)
-
-    def sub(group, action, **kwargs):
-        sp = group.add_parser(action, **kwargs)
+    actions = {}
+    for name, spec in _COMMANDS.items():
+        group, action = name.split(" ")
+        if group not in actions:
+            actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
+        sp = actions[group].add_parser(action)
         sp.add_argument("--json", action="store_true", help="one JSON document per result line")
-        return sp
-
-    diagrams = groups.add_parser("diagrams").add_subparsers(dest="action", required=True)
-    sp = sub(diagrams, "enumerate")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--filter", choices=["uniform", "top", "bottom"])
-    sp = sub(diagrams, "multiply")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--lhs", required=True)
-    sp.add_argument("--rhs")
-    sp = sub(diagrams, "classify")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--diagram", required=True)
-    sp.add_argument("--ratio", default="1/2")
-
-    rep_g = groups.add_parser("rep").add_subparsers(dest="action", required=True)
-    sp = sub(rep_g, "matrix")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--diagram", required=True)
-    sp = sub(rep_g, "entry")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--diagram", required=True)
-    sp.add_argument("--top", required=True)
-    sp.add_argument("--bottom", required=True)
-
-    verify = groups.add_parser("verify").add_subparsers(dest="action", required=True)
-    sp = sub(verify, "schur-weyl")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, required=True)
-    sp = sub(verify, "closure")
-    sp.add_argument("--k", type=int, default=2)
-    sp = sub(verify, "classification")
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--ratio", default="1/2")
-
-    norms = groups.add_parser("norms").add_subparsers(dest="action", required=True)
-    sp = sub(norms, "lp")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--diagram", required=True)
-    sp.add_argument("--trunc", type=int, action="append")
-    sp.add_argument("--ratio", default="1/2")
-    sp = sub(norms, "linf")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--diagram", required=True)
-    sp.add_argument("--trunc", type=int, action="append")
-
-    inv = groups.add_parser("invariants").add_subparsers(dest="action", required=True)
-    sp = sub(inv, "dim")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp = sub(inv, "vector")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--pi", required=True)
-    sp = sub(inv, "act")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--diagram", required=True)
-    sp.add_argument("--pi", required=True)
-
-    count = groups.add_parser("count").add_subparsers(dest="action", required=True)
-    sp = sub(count, "bell")
-    sp.add_argument("--g", type=int, required=True)
-    sp = sub(count, "partitions")
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--max-blocks", type=int, dest="max_blocks")
-
+        for flag, kwargs in spec.flags.items():
+            sp.add_argument(flag, **kwargs)
     return p
+
+
+def parse(argv: list[str]) -> Command:
+    """Parse and semantically validate one invocation."""
+    ns = _build_parser().parse_args(argv)
+    name = f"{ns.group} {ns.action}"
+    return Command(name=name, payload=_COMMANDS[name].validate(ns), json_mode=ns.json)
+
+
+def execute(cmd: Command) -> int:
+    """Run a parsed command and print its documents; returns the exit code."""
+    spec = _COMMANDS[cmd.name]
+    docs, code = spec.run(**cmd.payload)
+    for doc in docs:
+        for line in [json.dumps(doc, separators=(",", ":"))] if cmd.json_mode else spec.format(doc):
+            print(line)
+    return code
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        cmd = parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 2
+    try:
+        return execute(cmd)
+    except (ValueError, RuntimeError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+
+
+# Input checks --------------------------------------------------------------
+
+
+def _positive(ns: argparse.Namespace, *flags: str) -> None:
+    if any(getattr(ns, f) < 1 for f in flags):
+        names = " and ".join(f"--{f}" for f in flags)
+        what = "a positive integer" if len(flags) == 1 else "positive integers"
+        raise UsageError(f"{names} must be {what}")
 
 
 def _parse_diagram(text: str, k: int | None) -> diagram.Diagram:
@@ -115,7 +110,7 @@ def _parse_diagram(text: str, k: int | None) -> diagram.Diagram:
         raise UsageError(str(err)) from None
 
 
-def _parse_pi(text: str, k: int) -> setpart.SetPartition:
+def _parse_pi(text: str, k: int | None) -> setpart.SetPartition:
     try:
         return setpart.parse_text(text, ground_size=k)
     except ValueError as err:
@@ -139,181 +134,96 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
     return out
 
 
-def parse(argv: list[str]) -> Command:
-    """Parse and semantically validate one invocation."""
-    ns = _build_parser().parse_args(argv)
-    name = f"{ns.group} {ns.action}"
-    payload: dict = {}
-
-    if name == "diagrams enumerate":
-        if ns.k < 1:
-            raise UsageError("--k must be a positive integer")
-        payload = {"k": ns.k, "subset": ns.filter}
-    elif name == "diagrams multiply":
-        lhs = _parse_diagram(ns.lhs, ns.k)
-        if ns.rhs is None:
-            raise UsageError("--rhs is required")
-        rhs = _parse_diagram(ns.rhs, ns.k if ns.k is not None else lhs.k)
-        if lhs.k != rhs.k:
-            raise UsageError(f"operands have different k: {lhs.k} and {rhs.k}")
-        payload = {"lhs": lhs, "rhs": rhs}
-    elif name == "diagrams classify":
-        d = _parse_diagram(ns.diagram, ns.k)
-        payload = {"diagram": d, "weights": _parse_ratio(ns.ratio)}
-    elif name == "rep matrix":
-        if ns.n < 1:
-            raise UsageError("--n must be a positive integer")
-        payload = {"diagram": _parse_diagram(ns.diagram, ns.k), "n": ns.n}
-    elif name == "rep entry":
-        d = _parse_diagram(ns.diagram, ns.k)
-        top, bottom = _parse_tuple(ns.top), _parse_tuple(ns.bottom)
-        if len(top) != d.k or len(bottom) != d.k:
-            raise UsageError(f"--top and --bottom must have length k={d.k}")
-        payload = {"diagram": d, "top": top, "bottom": bottom}
-    elif name == "verify schur-weyl":
-        if ns.n < 1 or ns.k < 1:
-            raise UsageError("--n and --k must be positive integers")
-        payload = {"n": ns.n, "k": ns.k}
-    elif name == "verify closure":
-        if ns.k < 1:
-            raise UsageError("--k must be a positive integer")
-        payload = {"k": ns.k}
-    elif name == "verify classification":
-        if ns.k < 1:
-            raise UsageError("--k must be a positive integer")
-        payload = {"k": ns.k, "weights": _parse_ratio(ns.ratio)}
-    elif name == "norms lp":
-        d = _parse_diagram(ns.diagram, ns.k)
-        truncs = tuple(ns.trunc) if ns.trunc else (seqmodel.DEFAULT_TRUNC_SMALL, seqmodel.DEFAULT_TRUNC_LARGE)
-        if any(t < 1 for t in truncs):
-            raise UsageError("--trunc values must be positive")
-        payload = {"diagram": d, "truncations": truncs, "weights": _parse_ratio(ns.ratio)}
-    elif name == "norms linf":
-        d = _parse_diagram(ns.diagram, ns.k)
-        truncs = tuple(ns.trunc) if ns.trunc else (seqmodel.DEFAULT_TRUNC_SMALL, seqmodel.DEFAULT_TRUNC_LARGE)
-        if any(t < 1 for t in truncs):
-            raise UsageError("--trunc values must be positive")
-        payload = {"diagram": d, "truncations": truncs}
-    elif name == "invariants dim":
-        if ns.n < 1 or ns.k < 1:
-            raise UsageError("--n and --k must be positive integers")
-        payload = {"n": ns.n, "k": ns.k}
-    elif name == "invariants vector":
-        if ns.n < 1:
-            raise UsageError("--n must be a positive integer")
-        if ns.k is not None:
-            pi = _parse_pi(ns.pi, ns.k)
-        else:
-            try:
-                pi = setpart.parse_text(ns.pi)
-            except ValueError as err:
-                raise UsageError(f"invalid partition text {ns.pi!r}: {err}") from None
-        payload = {"pi": pi, "n": ns.n}
-    elif name == "invariants act":
-        d = _parse_diagram(ns.diagram, ns.k)
-        pi = _parse_pi(ns.pi, d.k)
-        if ns.n < d.k:
-            raise UsageError(f"--n must be at least k={d.k} for a full monomial basis")
-        payload = {"diagram": d, "pi": pi, "n": ns.n}
-    elif name == "count bell":
-        if ns.g < 0:
-            raise UsageError("--g must be non-negative")
-        payload = {"g": ns.g}
-    elif name == "count partitions":
-        if ns.g < 0:
-            raise UsageError("--g must be non-negative")
-        if ns.max_blocks is not None and ns.max_blocks < 1:
-            raise UsageError("--max-blocks must be at least 1")
-        payload = {"g": ns.g, "max_blocks": ns.max_blocks}
-
-    return Command(name=name, payload=payload, json_mode=ns.json)
+def _truncations(ns: argparse.Namespace) -> tuple[int, ...]:
+    truncs = tuple(ns.trunc) if ns.trunc else (seqmodel.DEFAULT_TRUNC_SMALL, seqmodel.DEFAULT_TRUNC_LARGE)
+    if any(t < 1 for t in truncs):
+        raise UsageError("--trunc values must be positive")
+    return truncs
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, separators=(",", ":")))
+def _check_k(ns):
+    _positive(ns, "k")
+    return {"k": ns.k}
 
 
-def _bool_word(b: bool) -> str:
-    return "yes" if b else "no"
+def _check_n_k(ns):
+    _positive(ns, "n", "k")
+    return {"n": ns.n, "k": ns.k}
 
 
-def _run_enumerate(payload, json_mode):
-    for d in diagram.enumerate_diagrams(payload["k"], payload["subset"]):
-        if json_mode:
-            _emit({"diagram": d.to_text()})
-        else:
-            print(d.to_text())
-    return 0
+def _check_multiply(ns):
+    lhs = _parse_diagram(ns.lhs, ns.k)
+    if ns.rhs is None:
+        raise UsageError("--rhs is required")
+    return {"lhs": lhs, "rhs": _parse_diagram(ns.rhs, lhs.k)}
 
 
-def _run_multiply(payload, json_mode):
-    prod = diagram.multiply(
-        diagram.AlgebraElement.from_diagram(payload["lhs"]),
-        diagram.AlgebraElement.from_diagram(payload["rhs"]),
-    )
-    for term in prod.to_json_terms():
-        if json_mode:
-            _emit(term)
-        else:
-            poly = diagram.Poly(tuple(Fraction(c) for c in term["coeff"]))
-            print(f"({poly.pretty()}) * {term['diagram']}")
-    return 0
+def _check_rep_matrix(ns):
+    _positive(ns, "n")
+    return {"d": _parse_diagram(ns.diagram, ns.k), "n": ns.n}
 
 
-def _run_classify(payload, json_mode):
-    d = payload["diagram"]
+def _check_rep_entry(ns):
+    d = _parse_diagram(ns.diagram, ns.k)
+    top, bottom = _parse_tuple(ns.top), _parse_tuple(ns.bottom)
+    if len(top) != d.k or len(bottom) != d.k:
+        raise UsageError(f"--top and --bottom must have length k={d.k}")
+    return {"d": d, "top": top, "bottom": bottom}
+
+
+def _check_inv_vector(ns):
+    _positive(ns, "n")
+    return {"pi": _parse_pi(ns.pi, ns.k), "n": ns.n}
+
+
+def _check_inv_act(ns):
+    d = _parse_diagram(ns.diagram, ns.k)
+    pi = _parse_pi(ns.pi, d.k)
+    if ns.n < d.k:
+        raise UsageError(f"--n must be at least k={d.k} for a full monomial basis")
+    return {"d": d, "pi": pi, "n": ns.n}
+
+
+def _check_g(ns):
+    if ns.g < 0:
+        raise UsageError("--g must be non-negative")
+    return {"g": ns.g}
+
+
+def _check_partitions(ns):
+    payload = _check_g(ns)
+    if ns.max_blocks is not None and ns.max_blocks < 1:
+        raise UsageError("--max-blocks must be at least 1")
+    return {**payload, "max_blocks": ns.max_blocks}
+
+
+# Runners -------------------------------------------------------------------
+
+
+def _run_multiply(lhs, rhs):
+    elem = diagram.AlgebraElement.from_diagram
+    return diagram.multiply(elem(lhs), elem(rhs)).to_json_terms(), 0
+
+
+def _run_classify(d, weights):
     doc = {
         "diagram": d.to_text(),
         "uniform": diagram.is_uniform(d),
         "top_propagating": diagram.is_top_propagating(d),
         "bottom_propagating": diagram.is_bottom_propagating(d),
-        "lp_bounded": seqmodel.classify_lp_bounded(d, payload["weights"]),
+        "lp_bounded": seqmodel.classify_lp_bounded(d, weights),
         "linf_bounded": seqmodel.classify_linf_bounded(d),
         "column_finite": seqmodel.classify_column_finite(d),
     }
-    if json_mode:
-        _emit(doc)
-    else:
-        for key, val in doc.items():
-            print(f"{key}: {val if isinstance(val, str) else _bool_word(val)}")
-    return 0
+    return [doc], 0
 
 
-def _run_rep_matrix(payload, json_mode):
-    m = rep.matrix(payload["diagram"], payload["n"])
-    if json_mode:
-        _emit(m.to_json())
-    elif m.dim <= 32:
-        for row in m.to_dense():
-            print(" ".join(rational.frac_str(v) for v in row))
-    else:
-        for r, c, v in m.triples:
-            print(f"{r} {c} {rational.frac_str(v)}")
-    return 0
+def _run_schur_weyl(n, k):
+    report = centralizer.verify_schur_weyl(n, k)
+    return [report.to_json()], 0 if report.surjectivity_verdict and report.double_commutant_verdict else 1
 
 
-def _run_rep_entry(payload, json_mode):
-    val = rep.entry(payload["diagram"], payload["top"], payload["bottom"])
-    if json_mode:
-        _emit({"entry": val})
-    else:
-        print(val)
-    return 0
-
-
-def _run_schur_weyl(payload, json_mode):
-    report = centralizer.verify_schur_weyl(payload["n"], payload["k"])
-    if json_mode:
-        _emit(report.to_json())
-    else:
-        for key, val in report.to_json().items():
-            print(f"{key}: {val if not isinstance(val, bool) else _bool_word(val)}")
-    ok = report.surjectivity_verdict and report.double_commutant_verdict
-    return 0 if ok else 1
-
-
-def _run_closure(payload, json_mode):
-    k = payload["k"]
+def _run_closure(k):
     doc: dict = {"k": k}
     for subset, pred in (
         ("uniform", diagram.is_uniform),
@@ -321,23 +231,14 @@ def _run_closure(payload, json_mode):
         ("bottom", diagram.is_bottom_propagating),
     ):
         members = list(diagram.enumerate_diagrams(k, subset))
-        closed = True
-        for d1, d2 in product(members, repeat=2):
-            d, middles = diagram.concat(d1, d2)
-            if middles != 0 or not pred(d):
-                closed = False
-                break
-        doc[subset] = closed
-    if json_mode:
-        _emit(doc)
-    else:
-        for subset in ("uniform", "top", "bottom"):
-            print(f"{subset}: {'closed' if doc[subset] else 'NOT closed'}")
-    return 0 if all(doc[s] for s in ("uniform", "top", "bottom")) else 1
+        m = len(members)
+        rep.check_budget(m * m, f"closure of the {m} {subset} diagrams at k = {k} takes {m}^2 products")
+        products = (diagram.concat(a, b) for a, b in product(members, repeat=2))
+        doc[subset] = all(middles == 0 and pred(d) for d, middles in products)
+    return [doc], 0 if doc["uniform"] and doc["top"] and doc["bottom"] else 1
 
 
-def _run_classification(payload, json_mode):
-    k, weights = payload["k"], payload["weights"]
+def _run_classification(k, weights):
     lp_ok = linf_ok = col_ok = True
     for d in diagram.enumerate_diagrams(k):
         lp_ok = lp_ok and seqmodel.classify_lp_bounded(d, weights) == diagram.is_uniform(d)
@@ -349,117 +250,146 @@ def _run_classification(payload, json_mode):
         "linf_matches_bottom_propagating": linf_ok,
         "column_finite_matches_top_propagating": col_ok,
     }
-    if json_mode:
-        _emit(doc)
-    else:
-        for key, val in doc.items():
-            print(f"{key}: {val if not isinstance(val, bool) else _bool_word(val)}")
-    return 0 if lp_ok and linf_ok and col_ok else 1
+    return [doc], 0 if lp_ok and linf_ok and col_ok else 1
 
 
-def _run_norms_lp(payload, json_mode):
-    profile = seqmodel.lp_norm_profile(payload["diagram"], payload["weights"], payload["truncations"])
-    if json_mode:
-        _emit(profile.to_json())
-    else:
-        for norm in profile.norms:
-            print(rational.frac_str(norm))
-    return 0
-
-
-def _run_norms_linf(payload, json_mode):
-    profile = seqmodel.linf_norm_profile(payload["diagram"], payload["truncations"])
-    if json_mode:
-        _emit(profile.to_json())
-    else:
-        for norm in profile.norms:
-            print(rational.frac_str(norm))
-    return 0
-
-
-def _run_inv_dim(payload, json_mode):
-    val = seqmodel.invariant_dim(payload["n"], payload["k"])
-    if json_mode:
-        _emit({"n": payload["n"], "k": payload["k"], "dim": val})
-    else:
-        print(val)
-    return 0
-
-
-def _run_inv_vector(payload, json_mode):
-    inv = seqmodel.monomial_vector(payload["pi"], payload["n"])
+def _run_inv_vector(pi, n):
+    inv = seqmodel.monomial_vector(pi, n)
     support = [list(rep.unrank_tuple(r, inv.n, inv.k)) for r in inv.support()]
-    if json_mode:
-        _emit({"pi": inv.pi.to_text(), "n": inv.n, "k": inv.k, "support": support})
-    else:
-        for t in support:
-            print(",".join(str(v) for v in t))
-    return 0
+    return [{"pi": inv.pi.to_text(), "n": inv.n, "k": inv.k, "support": support}], 0
 
 
-def _run_inv_act(payload, json_mode):
-    coeffs = seqmodel.act_on_invariants(payload["diagram"], payload["pi"], payload["n"])
-    for tau in sorted(coeffs, key=lambda p: p.rgs):
-        if json_mode:
-            _emit({"tau": tau.to_text(), "coeff": rational.frac_str(coeffs[tau])})
-        else:
-            print(f"{tau.to_text()}: {rational.frac_str(coeffs[tau])}")
-    return 0
+def _run_inv_act(d, pi, n):
+    coeffs = seqmodel.act_on_invariants(d, pi, n)
+    taus = sorted(coeffs, key=lambda p: p.rgs)
+    return [{"tau": tau.to_text(), "coeff": rational.frac_str(coeffs[tau])} for tau in taus], 0
 
 
-def _run_count_bell(payload, json_mode):
-    val = setpart.bell_number(payload["g"])
-    if json_mode:
-        _emit({"g": payload["g"], "count": val})
-    else:
-        print(val)
-    return 0
+# Plain-text formatters -----------------------------------------------------
 
 
-def _run_count_partitions(payload, json_mode):
-    val = setpart.count_partitions(payload["g"], payload["max_blocks"])
-    if json_mode:
-        _emit({"g": payload["g"], "max_blocks": payload["max_blocks"], "count": val})
-    else:
-        print(val)
-    return 0
+def _fields(doc: dict) -> list[str]:
+    """One `key: value` line per field, booleans as yes/no."""
+    return [f"{key}: {('yes' if val else 'no') if isinstance(val, bool) else val}"
+            for key, val in doc.items()]
 
 
-_RUNNERS = {
-    "diagrams enumerate": _run_enumerate,
-    "diagrams multiply": _run_multiply,
-    "diagrams classify": _run_classify,
-    "rep matrix": _run_rep_matrix,
-    "rep entry": _run_rep_entry,
-    "verify schur-weyl": _run_schur_weyl,
-    "verify closure": _run_closure,
-    "verify classification": _run_classification,
-    "norms lp": _run_norms_lp,
-    "norms linf": _run_norms_linf,
-    "invariants dim": _run_inv_dim,
-    "invariants vector": _run_inv_vector,
-    "invariants act": _run_inv_act,
-    "count bell": _run_count_bell,
-    "count partitions": _run_count_partitions,
+def _field(key: str) -> Callable[[dict], list[str]]:
+    return lambda doc: [str(doc[key])]
+
+
+def _format_term(term: dict) -> list[str]:
+    poly = diagram.Poly(tuple(Fraction(c) for c in term["coeff"]))
+    return [f"({poly.pretty()}) * {term['diagram']}"]
+
+
+def _format_matrix(doc: dict) -> list[str]:
+    dim, triples = doc["dim"], doc["triples"]
+    if dim > 32:
+        return [f"{r} {c} {v}" for r, c, v in triples]
+    rows = [[rational.frac_str(0)] * dim for _ in range(dim)]
+    for r, c, v in triples:
+        rows[r][c] = v
+    return [" ".join(row) for row in rows]
+
+
+def _format_closure(doc: dict) -> list[str]:
+    return [f"{s}: {'closed' if doc[s] else 'NOT closed'}" for s in ("uniform", "top", "bottom")]
+
+
+_COMMANDS: dict[str, _Spec] = {
+    "diagrams enumerate": _Spec(
+        {"--k": {"type": int, "required": True}, "--filter": {"choices": ["uniform", "top", "bottom"]}},
+        lambda ns: {**_check_k(ns), "subset": ns.filter},
+        lambda k, subset: (({"diagram": d.to_text()} for d in diagram.enumerate_diagrams(k, subset)), 0),
+        _field("diagram"),
+    ),
+    "diagrams multiply": _Spec(
+        {"--k": {"type": int}, "--lhs": {"required": True}, "--rhs": {}},
+        _check_multiply,
+        _run_multiply,
+        _format_term,
+    ),
+    "diagrams classify": _Spec(
+        {"--k": {"type": int}, "--diagram": {"required": True}, "--ratio": {"default": "1/2"}},
+        lambda ns: {"d": _parse_diagram(ns.diagram, ns.k), "weights": _parse_ratio(ns.ratio)},
+        _run_classify,
+        _fields,
+    ),
+    "rep matrix": _Spec(
+        {"--k": {"type": int}, "--n": {"type": int, "required": True}, "--diagram": {"required": True}},
+        _check_rep_matrix,
+        lambda d, n: ([rep.matrix(d, n).to_json()], 0),
+        _format_matrix,
+    ),
+    "rep entry": _Spec(
+        {"--k": {"type": int}, "--diagram": {"required": True}, "--top": {"required": True},
+         "--bottom": {"required": True}},
+        _check_rep_entry,
+        lambda d, top, bottom: ([{"entry": rep.entry(d, top, bottom)}], 0),
+        _field("entry"),
+    ),
+    "verify schur-weyl": _Spec(
+        {"--n": {"type": int, "required": True}, "--k": {"type": int, "required": True}},
+        _check_n_k,
+        _run_schur_weyl,
+        _fields,
+    ),
+    "verify closure": _Spec({"--k": {"type": int, "default": 2}}, _check_k, _run_closure, _format_closure),
+    "verify classification": _Spec(
+        {"--k": {"type": int, "default": 2}, "--ratio": {"default": "1/2"}},
+        lambda ns: {**_check_k(ns), "weights": _parse_ratio(ns.ratio)},
+        _run_classification,
+        _fields,
+    ),
+    "norms lp": _Spec(
+        {"--k": {"type": int}, "--diagram": {"required": True}, "--trunc": {"type": int, "action": "append"},
+         "--ratio": {"default": "1/2"}},
+        lambda ns: {"d": _parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns),
+                    "weights": _parse_ratio(ns.ratio)},
+        lambda d, truncations, weights: ([seqmodel.lp_norm_profile(d, weights, truncations).to_json()], 0),
+        lambda doc: doc["norms"],
+    ),
+    "norms linf": _Spec(
+        {"--k": {"type": int}, "--diagram": {"required": True}, "--trunc": {"type": int, "action": "append"}},
+        lambda ns: {"d": _parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns)},
+        lambda d, truncations: ([seqmodel.linf_norm_profile(d, truncations).to_json()], 0),
+        lambda doc: doc["norms"],
+    ),
+    "invariants dim": _Spec(
+        {"--k": {"type": int, "required": True}, "--n": {"type": int, "required": True}},
+        _check_n_k,
+        lambda n, k: ([{"n": n, "k": k, "dim": seqmodel.invariant_dim(n, k)}], 0),
+        _field("dim"),
+    ),
+    "invariants vector": _Spec(
+        {"--k": {"type": int}, "--n": {"type": int, "required": True}, "--pi": {"required": True}},
+        _check_inv_vector,
+        _run_inv_vector,
+        lambda doc: [",".join(str(v) for v in t) for t in doc["support"]],
+    ),
+    "invariants act": _Spec(
+        {"--k": {"type": int}, "--n": {"type": int, "required": True}, "--diagram": {"required": True},
+         "--pi": {"required": True}},
+        _check_inv_act,
+        _run_inv_act,
+        lambda doc: [f"{doc['tau']}: {doc['coeff']}"],
+    ),
+    "count bell": _Spec(
+        {"--g": {"type": int, "required": True}},
+        _check_g,
+        lambda g: ([{"g": g, "count": setpart.bell_number(g)}], 0),
+        _field("count"),
+    ),
+    "count partitions": _Spec(
+        {"--g": {"type": int, "required": True}, "--max-blocks": {"type": int}},
+        _check_partitions,
+        lambda g, max_blocks: (
+            [{"g": g, "max_blocks": max_blocks, "count": setpart.count_partitions(g, max_blocks)}], 0
+        ),
+        _field("count"),
+    ),
 }
-
-
-def execute(cmd: Command) -> int:
-    """Run a parsed command; returns the process exit code."""
-    return _RUNNERS[cmd.name](cmd.payload, cmd.json_mode)
-
-
-def main(argv: list[str] | None = None) -> int:
-    try:
-        cmd = parse(sys.argv[1:] if argv is None else argv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 2
-    try:
-        return execute(cmd)
-    except (ValueError, RuntimeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

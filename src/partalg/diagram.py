@@ -175,18 +175,27 @@ def concat(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     if d1.k != d2.k:
         raise ValueError(f"cannot concatenate diagrams with k={d1.k} and k={d2.k}")
     k = d1.k
-    # Nodes 0..k-1: top of d1.  k..2k-1: fused middle.  2k..3k-1: bottom of d2.
-    dsu = DisjointSets(3 * k)
-    for block in d1.part.blocks:
+    part, swallowed = _stack(d1.part, d2.part, k, k, k)
+    return Diagram(k, part), swallowed
+
+
+def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int, bottom: int) -> tuple[SetPartition, int]:
+    """Stack p1 (top + mid vertices) above p2 (mid + bottom) and fuse the mid row.
+
+    Returns the induced partition of p1's top row followed by p2's bottom
+    row, and the number of components lying entirely in the fused row.
+    """
+    # Nodes 0..top-1: top of p1.  Then the fused middle row, then the bottom of p2.
+    dsu = DisjointSets(top + mid + bottom)
+    for block in p1.blocks:
         for v in block[1:]:
             dsu.union(block[0], v)
-    for block in d2.part.blocks:
+    for block in p2.blocks:
         for v in block[1:]:
-            dsu.union(block[0] + k, v + k)
-    keep = list(range(k)) + list(range(2 * k, 3 * k))
-    labels = [dsu.find(v) for v in keep]
-    middle_only = {dsu.find(v) for v in range(k, 2 * k)} - set(labels)
-    return Diagram(k, setpart.from_labels(labels)), len(middle_only)
+            dsu.union(block[0] + top, v + top)
+    labels = [dsu.find(v) for v in (*range(top), *range(top + mid, top + mid + bottom))]
+    middle_only = {dsu.find(v) for v in range(top, top + mid)} - set(labels)
+    return setpart.from_labels(labels), len(middle_only)
 
 
 @dataclass(frozen=True)
@@ -449,16 +458,6 @@ def rect_compose(d1: RectDiagram, d2: RectDiagram) -> RectDiagram | None:
     """
     if d1.l_bottom != d2.k_top:
         return None
-    k1, mid, l2 = d1.k_top, d1.l_bottom, d2.l_bottom
-    dsu = DisjointSets(k1 + mid + l2)
-    for block in d1.part.blocks:
-        for v in block[1:]:
-            dsu.union(block[0], v)
-    for block in d2.part.blocks:
-        for v in block[1:]:
-            dsu.union(block[0] + k1, v + k1)
-    keep = list(range(k1)) + list(range(k1 + mid, k1 + mid + l2))
-    labels = [dsu.find(v) for v in keep]
-    middle_only = {dsu.find(v) for v in range(k1, k1 + mid)} - set(labels)
-    assert not middle_only, "middle components cannot arise without top-isolated blocks"
-    return RectDiagram(k1, l2, setpart.from_labels(labels))
+    part, swallowed = _stack(d1.part, d2.part, d1.k_top, d1.l_bottom, d2.l_bottom)
+    assert not swallowed, "middle components cannot arise without top-isolated blocks"
+    return RectDiagram(d1.k_top, d2.l_bottom, part)

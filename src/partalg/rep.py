@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .diagram import AlgebraElement, Diagram
 from .rational import frac_str
@@ -22,6 +22,7 @@ from .rational import frac_str
 __all__ = [
     "BudgetExceededError",
     "MATRIX_NNZ_LIMIT",
+    "check_budget",
     "SparseMat",
     "PermWord",
     "tuple_rank",
@@ -33,8 +34,9 @@ __all__ = [
     "act",
 ]
 
-# Hard ceiling on the nonzeros of one diagram matrix, checked before anything
-# is allocated; exceeding it is an error, never a silent fallback.
+# Hard ceiling on the nonzeros of one diagram matrix and on the tuples or
+# pairs any other loop visits, checked before anything is allocated;
+# exceeding it is an error, never a silent fallback.
 MATRIX_NNZ_LIMIT = 2**20
 
 _ONE = Fraction(1)
@@ -42,6 +44,15 @@ _ONE = Fraction(1)
 
 class BudgetExceededError(RuntimeError):
     """A requested computation is outside the configured resource budget."""
+
+
+def check_budget(work: int, what: str) -> None:
+    """Raise BudgetExceededError when work exceeds MATRIX_NNZ_LIMIT.
+
+    `what` names the computation and its size; it starts the message.
+    """
+    if work > MATRIX_NNZ_LIMIT:
+        raise BudgetExceededError(f"{what}, over the limit {MATRIX_NNZ_LIMIT}")
 
 
 class SparseMat:
@@ -53,15 +64,12 @@ class SparseMat:
 
     __slots__ = ("dim", "triples")
 
-    def __init__(self, dim: int, entries: Mapping[tuple[int, int], object] | Iterable[tuple[int, int, object]] = ()):
+    def __init__(self, dim: int, entries: Iterable[tuple[int, int, object]] = ()):
+        """Sum the (row, column, value) triples; repeated cells add up."""
         if dim < 0:
             raise ValueError("dimension must be non-negative")
-        if isinstance(entries, Mapping):
-            items: Iterable[tuple[int, int, object]] = ((r, c, v) for (r, c), v in entries.items())
-        else:
-            items = entries
         acc: dict[tuple[int, int], Fraction] = {}
-        for r, c, v in items:
+        for r, c, v in entries:
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"coordinate ({r}, {c}) outside a {dim} by {dim} matrix")
             f = v if isinstance(v, Fraction) else Fraction(v)
@@ -124,16 +132,7 @@ class SparseMat:
         rows_b: dict[int, list[tuple[int, Fraction]]] = {}
         for r, c, v in other.triples:
             rows_b.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], Fraction] = {}
-        for r, c, v in self.triples:
-            for l, w in rows_b.get(c, ()):
-                key = (r, l)
-                s = acc.get(key, Fraction(0)) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return SparseMat(self.dim, acc)
+        return SparseMat(self.dim, ((r, l, v * w) for r, c, v in self.triples for l, w in rows_b.get(c, ())))
 
     def to_dense(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
@@ -200,11 +199,8 @@ def matrix(d: Diagram, n: int) -> SparseMat:
         raise ValueError("n must be a positive integer")
     k = d.k
     blocks = d.part.blocks
-    if n ** len(blocks) > MATRIX_NNZ_LIMIT:
-        raise BudgetExceededError(
-            f"matrix at n = {n} of a {len(blocks)}-block diagram has {n}^{len(blocks)} nonzeros,"
-            f" over the limit {MATRIX_NNZ_LIMIT}"
-        )
+    b = len(blocks)
+    check_budget(n**b, f"matrix at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
     place = [n ** (k - 1 - i) for i in range(k)] * 2
     cells = [(0, 0)]
     for block in blocks:
@@ -285,19 +281,8 @@ def eval_at(elem: AlgebraElement, n: int) -> SparseMat:
     """Specialize the loop parameter to n and sum the diagram matrices."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    acc: dict[tuple[int, int], Fraction] = {}
-    for d, poly in elem.terms():
-        scalar = poly(Fraction(n))
-        if not scalar:
-            continue
-        for r, c, v in matrix(d, n).triples:
-            key = (r, c)
-            s = acc.get(key, Fraction(0)) + scalar * v
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-    return SparseMat(n**elem.k, acc)
+    scalars = ((d, poly(Fraction(n))) for d, poly in elem.terms())
+    return SparseMat(n**elem.k, ((r, c, s * v) for d, s in scalars if s for r, c, v in matrix(d, n).triples))
 
 
 def act(m: SparseMat, vec: Sequence) -> list[Fraction]:

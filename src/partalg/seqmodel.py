@@ -21,7 +21,7 @@ from .diagram import (
     is_uniform,
 )
 from .rational import frac_str
-from .rep import act, matrix, tuple_rank
+from .rep import act, check_budget, matrix, tuple_rank
 from .setpart import SetPartition, enumerate_partitions, count_partitions, refines
 
 __all__ = [
@@ -89,6 +89,7 @@ def l1_truncated_norm(d: Diagram, trunc: int, weights: GeometricWeights) -> Frac
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
     k = d.k
+    check_budget(trunc**k, f"l1 norm at truncation {trunc} scans {trunc}^{k} tuples")
     split = _split_blocks(d)
     mu = [Fraction(0)] + [weights.mu(i) for i in range(1, trunc + 1)]
     free_sums: dict[int, Fraction] = {}
@@ -137,6 +138,7 @@ def linf_matrix_norm(d: Diagram, trunc: int) -> Fraction:
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
     k = d.k
+    check_budget(trunc**k, f"sup norm at truncation {trunc} scans {trunc}^{k} tuples")
     split = _split_blocks(d)
     best = 0
     for tt in product(range(1, trunc + 1), repeat=k):
@@ -169,6 +171,7 @@ def classify_linf_bounded(
 
 def _max_column_count(d: Diagram, trunc: int) -> int:
     """Largest number of compatible top tuples over any single bottom tuple."""
+    check_budget(trunc**d.k, f"column count at truncation {trunc} scans {trunc}^{d.k} tuples")
     split = _split_blocks(d)
     best = 0
     for bt in product(range(1, trunc + 1), repeat=d.k):
@@ -271,9 +274,11 @@ def monomial_vector(pi: SetPartition, n: int) -> MonomialInvariant:
     """Indicator of tuples constant on every block of pi."""
     if n < 1:
         raise ValueError("n must be a positive integer")
+    k = pi.ground_size
+    check_budget(n**k, f"monomial vector at n = {n} has {n}^{k} entries")
     blocks = pi.blocks
     vec = []
-    for t in product(range(1, n + 1), repeat=pi.ground_size):
+    for t in product(range(1, n + 1), repeat=k):
         hit = 1
         for block in blocks:
             x = t[block[0]]

@@ -14,14 +14,36 @@ from partalg.cli import main, parse
 from partalg.diagram import parse_diagram
 
 
+HERE = Path(__file__).resolve().parent
+
+
 def run(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the invocation itself
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
 
 def json_lines(out: str) -> list[dict]:
     return [json.loads(line) for line in out.splitlines()]
+
+
+def test_cli_output_matches_recorded_fixtures(capsys, monkeypatch):
+    # argparse wraps its usage lines to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [
+        (e["argv"], (e["exit"], e["stdout"], e["stderr"]))
+        for e in json.loads((HERE / "cli_fixture.json").read_text())
+    ]
+    # stdout and exit code of the benchmark's cli-small mix
+    cases += [
+        (e["argv"], (e["exit"], e["stdout"]))
+        for e in json.loads((HERE.parent / "perfbench" / "golden_cli.json").read_text())
+    ]
+    mismatched = [argv for argv, want in cases if run(capsys, *argv)[: len(want)] != want]
+    assert mismatched == []
 
 
 def test_multiply_golden_json(capsys):
@@ -261,6 +283,22 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         capsys, "rep", "matrix", "--k", "6", "--diagram", "1|2|3|4|5|6|1',2',3',4',5',6'", "--n", "30"
     )
     assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, seconds",
+    [
+        (["invariants", "vector", "--n", "30", "--pi", "1|2|3|4|5|6"], 1.0),  # 30^6 tuples
+        (["norms", "lp", "--k", "4", "--trunc", "300", "--diagram", "1|2|3|4|1'|2'|3'|4'"], 1.0),  # 300^4
+        (["verify", "closure", "--k", "5"], 5.0),  # 1496^2 pairs, after enumerating the 1496
+    ],
+)
+def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < seconds
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
 

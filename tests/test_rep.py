@@ -100,6 +100,9 @@ def test_matrix_checks_the_nonzero_budget_before_building(monkeypatch):
     with pytest.raises(BudgetExceededError):
         matrix(singletons, 30)  # 30^7 nonzeros
     monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
+    rep.check_budget(16, "sixteen")
+    with pytest.raises(BudgetExceededError, match="^sixteen plus one, over the limit 16$"):
+        rep.check_budget(17, "sixteen plus one")
     assert matrix(parse_diagram("1|2|1'|2'"), 2).nnz == 16
     with pytest.raises(BudgetExceededError):
         matrix(parse_diagram("1|2|3,1'|2'|3'"), 2)

@@ -16,8 +16,10 @@ from partalg.diagram import (
     is_uniform,
     parse_diagram,
 )
-from partalg.rep import PermWord, act, perm_matrix, unrank_tuple
+from partalg import rep
+from partalg.rep import BudgetExceededError, PermWord, act, perm_matrix, unrank_tuple
 from partalg.seqmodel import (
+    _max_column_count,
     GeometricWeights,
     act_on_invariants,
     classify_column_finite,
@@ -250,3 +252,20 @@ def test_act_on_invariants_validation():
         act_on_invariants(d, from_blocks(2, [[0], [1]]), 1)
     with pytest.raises(ValueError):
         act_on_invariants(d, from_blocks(3, [[0, 1, 2]]), 4)
+
+
+def test_truncation_scans_and_monomial_vectors_check_the_budget_first(monkeypatch):
+    # at a limit of 16, k = 2 scans may visit 4^2 tuples but not 5^2
+    monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
+    d = parse_diagram("1,1'|2|2'")
+    pi = SetPartition((0, 1))
+    assert l1_truncated_norm(d, 4, HALF) and linf_matrix_norm(d, 4) and _max_column_count(d, 4)
+    assert len(monomial_vector(pi, 4).vector) == 16
+    for call in (
+        lambda: l1_truncated_norm(d, 5, HALF),
+        lambda: linf_matrix_norm(d, 5),
+        lambda: _max_column_count(d, 5),
+        lambda: monomial_vector(pi, 5),
+    ):
+        with pytest.raises(BudgetExceededError):
+            call()
