@@ -239,6 +239,8 @@ def _run_closure(k):
 
 
 def _run_classification(k, weights):
+    m, trunc = setpart.bell_number(2 * k), seqmodel.DEFAULT_TRUNC_LARGE
+    rep.check_budget(m * trunc**k, f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} diagrams")
     lp_ok = linf_ok = col_ok = True
     for d in diagram.enumerate_diagrams(k):
         lp_ok = lp_ok and seqmodel.classify_lp_bounded(d, weights) == diagram.is_uniform(d)

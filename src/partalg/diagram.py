@@ -350,14 +350,7 @@ class AlgebraElement:
             return NotImplemented
         if self.k != other.k:
             raise ValueError("cannot add elements with different k")
-        acc = dict(self._terms)
-        for d, c in other._terms.items():
-            s = acc.get(d, Poly.zero()) + c
-            if s.is_zero():
-                acc.pop(d, None)
-            else:
-                acc[d] = s
-        return AlgebraElement(self.k, acc)
+        return AlgebraElement(self.k, [*self._terms.items(), *other._terms.items()])
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         if isinstance(scalar, Poly):
@@ -391,17 +384,12 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Bilinear extension of the diagram product to linear combinations."""
     if a.k != b.k:
         raise ValueError("cannot multiply elements with different k")
-    acc: dict[Diagram, Poly] = {}
+    terms = []
     for d1, c1 in a.terms():
         for d2, c2 in b.terms():
             d, m = concat(d1, d2)
-            contrib = (c1 * c2).shifted(m)
-            s = acc.get(d, Poly.zero()) + contrib
-            if s.is_zero():
-                acc.pop(d, None)
-            else:
-                acc[d] = s
-    return AlgebraElement(a.k, acc)
+            terms.append((d, (c1 * c2).shifted(m)))
+    return AlgebraElement(a.k, terms)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ With geometric weights mu_i = r^i the operator norm of a diagram matrix on
 the truncated space either stabilizes as the truncation grows (bounded
 operator) or grows without bound, and the block shape of the diagram
 decides which.  Norms here are exact rationals, never floats, so the
-stability comparison is an equality test.
+stability comparison is an equality test.  The sup norm's row counts, and
+the column counts as row counts of the flipped diagram, are counted per
+block; the weighted l1 norm still scans trunc^k tuples.
 """
 
 from __future__ import annotations
@@ -12,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
-from .diagram import (
-    Diagram,
-    is_bottom_propagating,
-    is_top_propagating,
-    is_uniform,
-)
+from .diagram import Diagram, flip, is_top_propagating
 from .rational import frac_str
 from .rep import act, check_budget, matrix, tuple_rank
 from .setpart import SetPartition, enumerate_partitions, count_partitions, refines
@@ -119,6 +116,13 @@ def l1_truncated_norm(d: Diagram, trunc: int, weights: GeometricWeights) -> Frac
     return best
 
 
+def _stable(norm: Callable[[int], Fraction], small: int, large: int) -> bool:
+    """The paper's test: the truncated norm is the same at both truncations."""
+    if not 1 <= small < large:
+        raise ValueError("truncations must satisfy 1 <= small < large")
+    return norm(small) == norm(large)
+
+
 def classify_lp_bounded(
     d: Diagram,
     weights: GeometricWeights | None = None,
@@ -128,34 +132,19 @@ def classify_lp_bounded(
     """Bounded on the weighted sequence space: norm stable across truncations."""
     if weights is None:
         weights = GeometricWeights()
-    if not 1 <= trunc_small < trunc_large:
-        raise ValueError("truncations must satisfy 1 <= small < large")
-    return l1_truncated_norm(d, trunc_small, weights) == l1_truncated_norm(d, trunc_large, weights)
+    return _stable(lambda t: l1_truncated_norm(d, t, weights), trunc_small, trunc_large)
 
 
 def linf_matrix_norm(d: Diagram, trunc: int) -> Fraction:
-    """Supremum-norm of the truncated matrix: the largest row sum."""
+    """Supremum-norm of the truncated matrix: the largest row sum.
+
+    A nonzero row pins every block that meets the top row, and each block
+    that misses it takes any of trunc values, so every nonzero row has
+    trunc^(blocks missing the top row) entries.
+    """
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
-    k = d.k
-    check_budget(trunc**k, f"sup norm at truncation {trunc} scans {trunc}^{k} tuples")
-    split = _split_blocks(d)
-    best = 0
-    for tt in product(range(1, trunc + 1), repeat=k):
-        count = 1
-        ok = True
-        for tops, bots in split:
-            if tops:
-                x = tt[tops[0]]
-                if any(tt[p] != x for p in tops[1:]):
-                    ok = False
-                    break
-                # bots, if any, are pinned to x: one choice
-            elif bots:
-                count *= trunc  # one free value shared by the whole block
-        if ok and count > best:
-            best = count
-    return Fraction(best)
+    return Fraction(trunc ** sum(1 for tops, _ in _split_blocks(d) if not tops))
 
 
 def classify_linf_bounded(
@@ -164,43 +153,21 @@ def classify_linf_bounded(
     trunc_large: int = DEFAULT_TRUNC_LARGE,
 ) -> bool:
     """Bounded for the matrix sup-norm: row sums stable across truncations."""
-    if not 1 <= trunc_small < trunc_large:
-        raise ValueError("truncations must satisfy 1 <= small < large")
-    return linf_matrix_norm(d, trunc_small) == linf_matrix_norm(d, trunc_large)
-
-
-def _max_column_count(d: Diagram, trunc: int) -> int:
-    """Largest number of compatible top tuples over any single bottom tuple."""
-    check_budget(trunc**d.k, f"column count at truncation {trunc} scans {trunc}^{d.k} tuples")
-    split = _split_blocks(d)
-    best = 0
-    for bt in product(range(1, trunc + 1), repeat=d.k):
-        count = 1
-        ok = True
-        for tops, bots in split:
-            if bots:
-                x = bt[bots[0]]
-                if any(bt[p] != x for p in bots[1:]):
-                    ok = False
-                    break
-            elif tops:
-                count *= trunc ** len(tops)
-        if ok and count > best:
-            best = count
-    return best
+    return _stable(lambda t: linf_matrix_norm(d, t), trunc_small, trunc_large)
 
 
 def classify_column_finite(d: Diagram, trunc: int = DEFAULT_TRUNC_SMALL) -> bool:
     """Every column has finitely many nonzeros in the untruncated action.
 
     Decided combinatorially (no block isolated in the top row) and
-    cross-checked against column counts at two truncation sizes.
+    cross-checked against column counts, the row counts of the flipped
+    diagram, at two truncation sizes.
     """
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
     verdict = is_top_propagating(d)
-    stable = _max_column_count(d, trunc) == _max_column_count(d, 2 * trunc)
-    if stable != verdict:
+    flipped = flip(d)
+    if _stable(lambda t: linf_matrix_norm(flipped, t), trunc, 2 * trunc) != verdict:
         raise RuntimeError("column count stability disagrees with the block criterion")
     return verdict
 
@@ -227,31 +194,29 @@ class NormProfile:
         return doc
 
 
-def lp_norm_profile(
-    d: Diagram, weights: GeometricWeights, truncations: Sequence[int]
+def _profile(
+    d: Diagram, truncations: Sequence[int], norm: Callable[[int], Fraction], ratio: Fraction | None = None
 ) -> NormProfile:
+    """Each distinct norm once, over the requested and the default truncations."""
     if not truncations:
         raise ValueError("at least one truncation is required")
-    norms = tuple(l1_truncated_norm(d, t, weights) for t in truncations)
+    wanted = (*truncations, DEFAULT_TRUNC_SMALL, DEFAULT_TRUNC_LARGE)
+    values = {t: norm(t) for t in dict.fromkeys(wanted)}
     return NormProfile(
         diagram=d,
         truncations=tuple(truncations),
-        norms=norms,
-        divergent=not classify_lp_bounded(d, weights),
-        ratio=weights.ratio,
+        norms=tuple(values[t] for t in truncations),
+        divergent=not _stable(values.get, DEFAULT_TRUNC_SMALL, DEFAULT_TRUNC_LARGE),
+        ratio=ratio,
     )
+
+
+def lp_norm_profile(d: Diagram, weights: GeometricWeights, truncations: Sequence[int]) -> NormProfile:
+    return _profile(d, truncations, lambda t: l1_truncated_norm(d, t, weights), weights.ratio)
 
 
 def linf_norm_profile(d: Diagram, truncations: Sequence[int]) -> NormProfile:
-    if not truncations:
-        raise ValueError("at least one truncation is required")
-    norms = tuple(linf_matrix_norm(d, t) for t in truncations)
-    return NormProfile(
-        diagram=d,
-        truncations=tuple(truncations),
-        norms=norms,
-        divergent=not classify_linf_bounded(d),
-    )
+    return _profile(d, truncations, lambda t: linf_matrix_norm(d, t))
 
 
 @dataclass(frozen=True)

@@ -168,19 +168,24 @@ def bell_number(g: int) -> int:
     return row[0]
 
 
-def stirling2(g: int, j: int) -> int:
-    """Number of partitions of a g-element set into exactly j blocks."""
-    if g < 0 or j < 0:
-        raise ValueError("arguments must be non-negative")
-    if j > g:
-        return 0
+def _stirling_row(g: int) -> list[int]:
+    """Stirling numbers of the second kind S(g, 0), ..., S(g, g)."""
     row = [1]
     for n in range(1, g + 1):
         nxt = [0] * (n + 1)
         for m in range(1, n + 1):
             nxt[m] = m * (row[m] if m < len(row) else 0) + row[m - 1]
         row = nxt
-    return row[j]
+    return row
+
+
+def stirling2(g: int, j: int) -> int:
+    """Number of partitions of a g-element set into exactly j blocks."""
+    if g < 0 or j < 0:
+        raise ValueError("arguments must be non-negative")
+    if j > g:
+        return 0
+    return _stirling_row(g)[j]
 
 
 def count_partitions(ground_size: int, max_blocks: int | None = None) -> int:
@@ -191,7 +196,7 @@ def count_partitions(ground_size: int, max_blocks: int | None = None) -> int:
         return bell_number(ground_size)
     if max_blocks < 1:
         raise ValueError("max_blocks must be at least 1")
-    return sum(stirling2(ground_size, j) for j in range(min(max_blocks, ground_size) + 1))
+    return sum(_stirling_row(ground_size)[: min(max_blocks, ground_size) + 1])
 
 
 def orbit_partition(values: Sequence[int]) -> SetPartition:

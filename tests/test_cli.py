@@ -12,6 +12,7 @@ import pytest
 import partalg
 from partalg.cli import main, parse
 from partalg.diagram import parse_diagram
+from partalg.setpart import bell_number
 
 
 HERE = Path(__file__).resolve().parent
@@ -293,6 +294,7 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["invariants", "vector", "--n", "30", "--pi", "1|2|3|4|5|6"], 1.0),  # 30^6 tuples
         (["norms", "lp", "--k", "4", "--trunc", "300", "--diagram", "1|2|3|4|1'|2'|3'|4'"], 1.0),  # 300^4
         (["verify", "closure", "--k", "5"], 5.0),  # 1496^2 pairs, after enumerating the 1496
+        (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
@@ -301,6 +303,14 @@ def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
     assert time.perf_counter() - start < seconds
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_restricted_partition_counts_finish_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "partitions", "--g", "600", "--max-blocks", "600")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == f"{bell_number(600)}\n"
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -10,16 +11,16 @@ from partalg.centralizer import rank_of_rows
 from partalg.diagram import (
     Diagram,
     enumerate_diagrams,
+    flip,
     identity,
     is_bottom_propagating,
     is_top_propagating,
     is_uniform,
     parse_diagram,
 )
-from partalg import rep
-from partalg.rep import BudgetExceededError, PermWord, act, perm_matrix, unrank_tuple
+from partalg import rep, seqmodel
+from partalg.rep import BudgetExceededError, PermWord, act, matrix, perm_matrix, unrank_tuple
 from partalg.seqmodel import (
-    _max_column_count,
     GeometricWeights,
     act_on_invariants,
     classify_column_finite,
@@ -166,6 +167,42 @@ def test_column_finiteness_classifier_agrees_with_top_propagation():
         assert classify_column_finite(d) == is_top_propagating(d)
 
 
+def test_column_finiteness_raises_when_the_counts_disagree_with_the_blocks(monkeypatch):
+    monkeypatch.setattr(seqmodel, "is_top_propagating", lambda d: not is_top_propagating(d))
+    with pytest.raises(RuntimeError, match="disagrees with the block criterion"):
+        classify_column_finite(parse_diagram("1|1'"))
+
+
+def test_sup_norm_counts_the_rows_and_the_flip_counts_the_columns():
+    cases = 0
+    for k in (1, 2, 3):
+        for d in enumerate_diagrams(k):
+            for trunc in (1, 2, 3, 4):
+                triples = matrix(d, trunc).triples
+                rows = Counter(r for r, _, _ in triples)
+                cols = Counter(c for _, c, _ in triples)
+                assert linf_matrix_norm(d, trunc) == max(rows.values())
+                assert linf_matrix_norm(flip(d), trunc) == max(cols.values())
+                cases += 1
+    assert cases == 880
+
+
+def test_norm_profiles_compute_each_truncation_once(monkeypatch):
+    calls = []
+
+    def counted(d, trunc, weights):
+        calls.append(trunc)
+        return l1_truncated_norm(d, trunc, weights)
+
+    monkeypatch.setattr(seqmodel, "l1_truncated_norm", counted)
+    d = parse_diagram("2,1'|1|2'")
+    assert lp_norm_profile(d, HALF, (4, 8)).divergent
+    assert sorted(calls) == [4, 8]
+    calls.clear()
+    assert lp_norm_profile(d, HALF, (2, 4, 8)).norms == (3, 15, 255)
+    assert sorted(calls) == [2, 4, 8]
+
+
 def test_norm_profiles_serialize_with_their_parameters():
     p = lp_norm_profile(parse_diagram("2,1'|1|2'"), HALF, (4, 8))
     assert p.to_json() == {
@@ -259,12 +296,10 @@ def test_truncation_scans_and_monomial_vectors_check_the_budget_first(monkeypatc
     monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
     d = parse_diagram("1,1'|2|2'")
     pi = SetPartition((0, 1))
-    assert l1_truncated_norm(d, 4, HALF) and linf_matrix_norm(d, 4) and _max_column_count(d, 4)
+    assert l1_truncated_norm(d, 4, HALF)
     assert len(monomial_vector(pi, 4).vector) == 16
     for call in (
         lambda: l1_truncated_norm(d, 5, HALF),
-        lambda: linf_matrix_norm(d, 5),
-        lambda: _max_column_count(d, 5),
         lambda: monomial_vector(pi, 5),
     ):
         with pytest.raises(BudgetExceededError):
