@@ -1,29 +1,33 @@
 """Exact centralizer and commutant dimensions on tensor-power modules.
 
-Ranks are computed by incremental elimination over the integers: each row
-is cleared of denominators, reduced against the current echelon basis with
-two-term integer combinations, and gcd-normalized, so no floating point or
-rational division ever occurs and the result is reproducible.  Integral
-entries, which every entry of a diagram or permutation matrix is, become
-plain ints when a row is read and stay ints throughout, so no `Fraction` is
-built on that path.
+Ranks are computed by an `Echelon`, an incremental elimination over the
+integers: each row is cleared of denominators, reduced against the current
+echelon basis with two-term integer combinations, and gcd-normalized, so no
+floating point or rational division ever occurs and the result is
+reproducible.  Integral entries, which every entry of a diagram or
+permutation matrix is, become plain ints when a row is read and stay ints
+throughout, so no `Fraction` is built on that path.
+
+There are no size caps.  Each layer estimates its work as one integer
+before it starts and passes it to `rep.check_budget`, so a size that
+cannot finish fails at once with `BudgetExceededError`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagram import enumerate_diagrams, partition_algebra_generators
-from .rep import BudgetExceededError, PermWord, SparseMat, matrix, perm_matrix
-from .setpart import count_partitions
+from .rep import BudgetExceededError, PermWord, SparseMat, check_budget, matrix, perm_matrix
+from .setpart import _stirling_row, count_partitions
 
 __all__ = [
     "BudgetExceededError",
-    "SPAN_DIM_LIMIT",
-    "COMMUTANT_DIM_LIMIT",
+    "Echelon",
     "rank_of_rows",
     "span_rank",
     "commutant_dimension",
@@ -34,10 +38,6 @@ __all__ = [
     "VerificationReport",
     "verify_schur_weyl",
 ]
-
-# Hard resource ceilings; exceeding them is an error, never a silent fallback.
-SPAN_DIM_LIMIT = 1296
-COMMUTANT_DIM_LIMIT = 256
 
 
 def _integer_row(row: Mapping[int, object]) -> dict[int, int]:
@@ -76,23 +76,35 @@ def _content(ints: dict[int, int]) -> int:
     return g
 
 
-def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
-    """Rank of a set of sparse rational rows, by exact integer elimination.
+class Echelon:
+    """An integer row echelon basis that grows one row at a time.
 
-    Each row is made a primitive integer row, then reduced against the
-    echelon basis (one row per pivot column): r := r * b[c] - b * r[c],
-    divided by its content.  When the basis pivot b[c] is 1, r is copied
-    rather than scaled.
+    `add` makes a row a primitive integer row, then reduces it against the
+    basis (one row per pivot column): r := r * b[c] - b * r[c], divided by
+    its content.  When the basis pivot b[c] is 1, r is copied rather than
+    scaled.  `updates` counts the work: len(b) for every reduction step.
     """
-    basis: dict[int, dict[int, int]] = {}
-    for row in rows:
+
+    __slots__ = ("basis", "updates")
+
+    def __init__(self):
+        self.basis: dict[int, dict[int, int]] = {}
+        self.updates = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    def add(self, row: Mapping[int, object]) -> bool:
+        """Reduce the row; True when it was independent and joined the basis."""
+        basis = self.basis
         r = _integer_row(row)
         while r:
             c = min(r)
             b = basis.get(c)
             if b is None:
                 basis[c] = r
-                break
+                return True
             # r := r * b[c] - b * r[c]; the pivot column cancels exactly.
             rc, bc = r[c], b[c]
             merged = dict(r) if bc == 1 else {i: v * bc for i, v in r.items()}
@@ -102,19 +114,34 @@ def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
                     merged[i] = nv
                 else:
                     del merged[i]
+            self.updates += len(b)
             g = _content(merged)
             if g > 1:
                 merged = {i: v // g for i, v in merged.items()}
             r = merged
-    return len(basis)
+        return False
 
 
-def _vectorize(m: SparseMat) -> dict[int, Fraction]:
-    return {r * m.dim + c: v for r, c, v in m.triples}
+def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
+    """Rank of a set of sparse rational rows, by exact integer elimination."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.rank
+
+
+def _vectorize(m: SparseMat) -> dict[int, int | Fraction]:
+    """The matrix as one row, entry (r, c) at r * dim + c; integral entries as ints."""
+    dim = m.dim
+    return {r * dim + c: v.numerator if v.denominator == 1 else v for r, c, v in m.triples}
 
 
 def span_rank(mats: Sequence[SparseMat]) -> int:
-    """Dimension of the linear span of the given matrices."""
+    """Dimension of the linear span of the given matrices.
+
+    The work is estimated as the total number of nonzeros, the entries the
+    rows bring to the elimination.
+    """
     mats = list(mats)
     if not mats:
         return 0
@@ -122,8 +149,8 @@ def span_rank(mats: Sequence[SparseMat]) -> int:
     for m in mats:
         if m.dim != dim:
             raise ValueError("matrices must share one dimension")
-    if dim > SPAN_DIM_LIMIT:
-        raise BudgetExceededError(f"span rank at dimension {dim} exceeds the limit {SPAN_DIM_LIMIT}")
+    nnz = sum(m.nnz for m in mats)
+    check_budget(nnz, f"span rank of {len(mats)} matrices with {nnz} nonzeros")
     return rank_of_rows(_vectorize(m) for m in mats)
 
 
@@ -132,9 +159,13 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
 
     A matrix commutes with an algebra exactly when it commutes with a
     generating set of it, so pass generators rather than a whole basis: the
-    work grows with the number of matrices given.  The unknown X is the
-    full D*D matrix; each generator G contributes the linear system
-    XG - GX = 0, one sparse row per matrix position (i, l).
+    work grows with the number of matrices given, and their order matters.
+    The unknown X is the full D*D matrix; each generator G contributes the
+    linear system XG - GX = 0, one sparse row per matrix position (i, l).
+
+    The work is estimated as rows times w^2, with D*D rows per generator and
+    w the most nonzeros in any row or column of a generator: a row has at
+    most 2w entries, and the basis rows it meets fill in with w as well.
     """
     gens = list(generators)
     if not gens:
@@ -143,11 +174,16 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
     for g in gens:
         if g.dim != dim:
             raise ValueError("generators must share one dimension")
-    if dim > COMMUTANT_DIM_LIMIT:
-        raise BudgetExceededError(
-            f"commutant at dimension {dim} exceeds the limit {COMMUTANT_DIM_LIMIT}"
-        )
+    rows = len(gens) * dim * dim
+    w = max(map(_widest, gens))
+    check_budget(rows * w * w, f"commutant at dimension {dim} feeds {rows} rows of width up to 2 * {w}")
     return dim * dim - rank_of_rows(row for g in gens for row in _commutator_rows(g))
+
+
+def _widest(g: SparseMat) -> int:
+    """The most nonzeros in any row or column of g."""
+    rows, cols = Counter(r for r, _, _ in g.triples), Counter(c for _, c, _ in g.triples)
+    return max([*rows.values(), *cols.values()], default=0)
 
 
 def _commutator_rows(g: SparseMat) -> Iterator[dict[int, int | Fraction]]:
@@ -203,19 +239,42 @@ def symmetric_group_generators(n: int) -> list[PermWord]:
 
 
 def perm_span_dim(n: int, k: int) -> int:
-    """Dimension of the span of all n! permutation matrices on k-tuples."""
+    """Dimension of the span of the n! permutation matrices on k-tuples.
+
+    That span is the algebra generated by the matrices of s_1 and the long
+    cycle.  It is built by closure: starting from the identity, each product
+    that was independent when it joined the Echelon is multiplied by each
+    generator, so the work grows with the span dimension, not with n!.  A
+    permutation matrix is held as the column of the one in each row, so row
+    r of m @ g has its one in column g[m[r]].
+
+    The ones sit only at positions (r, c) where the tuples r and c have the
+    same pattern of equal entries.  The work is estimated as the rank the
+    closure reaches, from the closed form `perm_span_expected`, times the
+    number of those positions.
+    """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    if n > 5 or k > 2:
-        raise BudgetExceededError(
-            f"perm span at (n, k) = ({n}, {k}) exceeds the n <= 5, k <= 2 budget"
-        )
-    from itertools import permutations
-
-    rows = []
-    for images in permutations(range(1, n + 1)):
-        rows.append(_vectorize(perm_matrix(PermWord(images), k)))
-    return rank_of_rows(rows)
+    # a pattern with b blocks is met by n (n-1) ... (n-b+1) tuples
+    positions = sum(s * prod(range(n - b + 1, n + 1)) ** 2 for b, s in enumerate(_stirling_row(k)))
+    rank = perm_span_expected(n, k)
+    check_budget(rank * positions, f"permutation span at (n, k) = ({n}, {k}) reaches rank {rank} over {positions} positions")
+    dim = n**k
+    gens = [[c for _, c, _ in perm_matrix(s, k).triples] for s in symmetric_group_generators(n)]
+    identity = list(range(dim))
+    span = Echelon()
+    span.add({r * dim + r: 1 for r in identity})
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for m in frontier:
+            for g in gens:
+                p = [g[c] for c in m]
+                # keyed column-major: fewer updates than row-major in this closure
+                if span.add({p[r] * dim + r: 1 for r in identity}):
+                    grown.append(p)
+        frontier = grown
+    return span.rank
 
 
 def _partitions(m: int, largest: int):
@@ -302,21 +361,33 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     only the matrices of `partition_algebra_generators(k)`: matrix(d1) @
     matrix(d2) = n^m * matrix(d1 o d2) with n >= 1, so those matrices and
     the identity generate the diagram span as an algebra, and both have the
-    same commutant at every n.  The double-commutant verdict also compares
-    both computed ranks with the closed form `perm_span_expected`.
+    same commutant at every n.  Their rows enter b_1 first, then p_1, then
+    the permutations: the single-entry rows of the diagonal b_1 clear
+    unknowns before the wider rows arrive, which cuts the elimination work.
+    The double-commutant verdict also compares both computed ranks with the
+    closed form `perm_span_expected`.
+
+    Each layer checks its work estimate before it starts.  The layers run
+    in the order that lets a size over the budget fail before any long
+    elimination: first the diagram matrices' nonzeros, then the permutation
+    span and the commutant of the diagrams.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    diag_mats = [matrix(d, n) for d in enumerate_diagrams(k)]
-    diag_gens = [matrix(d, n) for d in partition_algebra_generators(k)]
+    nnz = sum(s * n**b for b, s in enumerate(_stirling_row(2 * k)))
+    check_budget(nnz, f"the diagram matrices at (n, k) = ({n}, {k}) have sum_b S({2 * k}, b) {n}^b nonzeros")
+    perm_span = perm_span_dim(n, k)
+    gens = partition_algebra_generators(k)
+    commutant_of_diagrams = commutant_dimension([matrix(d, n) for d in gens[-1:] + gens[:-1]])  # b_1 first
+    diagram_span = span_rank([matrix(d, n) for d in enumerate_diagrams(k)])
     perm_gens = [perm_matrix(s, k) for s in symmetric_group_generators(n)]
     return VerificationReport(
         n=n,
         k=k,
         centralizer_dim=centralizer_dimension(n, k),
-        diagram_span_rank=span_rank(diag_mats),
+        diagram_span_rank=diagram_span,
         commutant_of_perms_dim=commutant_dimension(perm_gens),
-        perm_span_dim=perm_span_dim(n, k),
-        commutant_of_diagrams_dim=commutant_dimension(diag_gens),
+        perm_span_dim=perm_span,
+        commutant_of_diagrams_dim=commutant_of_diagrams,
         perm_span_expected=perm_span_expected(n, k),
     )

@@ -85,6 +85,14 @@ class SparseMat:
         self.triples = tuple(sorted((r, c, v) for (r, c), v in acc.items()))
 
     @classmethod
+    def _trusted(cls, dim: int, triples: tuple[tuple[int, int, Fraction], ...]) -> "SparseMat":
+        """Wrap triples that are already distinct, in range, nonzero and row-major sorted."""
+        m = cls.__new__(cls)
+        m.dim = dim
+        m.triples = triples
+        return m
+
+    @classmethod
     def identity(cls, dim: int) -> "SparseMat":
         return cls(dim, [(i, i, 1) for i in range(dim)])
 
@@ -191,6 +199,8 @@ def matrix(d: Diagram, n: int) -> SparseMat:
     its top place value (the sum of n^(k-1-i) over its top vertices i) to
     the row rank and x times its bottom place value to the column rank, so
     positions are generated block by block without ranking any tuple.
+    Blocks come in order of their least vertex, top-row blocks first, so the
+    positions come out distinct and row-major sorted.
 
     Raises BudgetExceededError, before allocating anything, when the
     n^(number of blocks) nonzeros would exceed MATRIX_NNZ_LIMIT.
@@ -207,7 +217,7 @@ def matrix(d: Diagram, n: int) -> SparseMat:
         top = sum(place[v] for v in block if v < k)
         bottom = sum(place[v] for v in block if v >= k)
         cells = [(r + x * top, c + x * bottom) for r, c in cells for x in range(n)]
-    return SparseMat(n**k, [(r, c, _ONE) for r, c in cells])
+    return SparseMat._trusted(n**k, tuple([(r, c, _ONE) for r, c in cells]))
 
 
 @dataclass(frozen=True)
@@ -266,23 +276,35 @@ class PermWord:
 
 
 def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
-    """Permutation matrix of the diagonal action on k-tuples."""
+    """Permutation matrix of the diagonal action on k-tuples.
+
+    Row t has its one in column sigma^-1(t); appending one tuple position at
+    a time keeps the rows in order.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
     n = sigma.n
-    images = [v - 1 for v in sigma.images]
+    preimages = [0] * n
+    for x, y in enumerate(sigma.images):
+        preimages[y - 1] = x
     cells = [(0, 0)]
-    for _ in range(k):  # append one tuple position at a time
-        cells = [(r * n + images[x], c * n + x) for r, c in cells for x in range(n)]
-    return SparseMat(n**k, [(r, c, _ONE) for r, c in cells])
+    for _ in range(k):
+        cells = [(r * n + y, c * n + preimages[y]) for r, c in cells for y in range(n)]
+    return SparseMat._trusted(n**k, tuple([(r, c, _ONE) for r, c in cells]))
 
 
 def eval_at(elem: AlgebraElement, n: int) -> SparseMat:
-    """Specialize the loop parameter to n and sum the diagram matrices."""
+    """Specialize the loop parameter to n and sum the diagram matrices.
+
+    Raises BudgetExceededError, before building any matrix, when the terms'
+    matrices would have more than MATRIX_NNZ_LIMIT nonzeros together.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    scalars = ((d, poly(Fraction(n))) for d, poly in elem.terms())
-    return SparseMat(n**elem.k, ((r, c, s * v) for d, s in scalars if s for r, c, v in matrix(d, n).triples))
+    scalars = [(d, s) for d, poly in elem.terms() if (s := poly(Fraction(n)))]
+    nnz = sum(n**d.part.num_blocks for d, _ in scalars)
+    check_budget(nnz, f"evaluation at n = {n} of {len(scalars)} diagrams has {nnz} nonzeros")
+    return SparseMat(n**elem.k, ((r, c, s * v) for d, s in scalars for r, c, v in matrix(d, n).triples))
 
 
 def act(m: SparseMat, vec: Sequence) -> list[Fraction]:

@@ -9,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partalg import centralizer, rep as rep_module
 from partalg.centralizer import (
     BudgetExceededError,
+    Echelon,
     VerificationReport,
+    _commutator_rows,
     _integer_row,
+    _vectorize,
     centralizer_dimension,
     commutant_dimension,
     perm_span_dim,
@@ -125,7 +129,13 @@ def test_span_rank_of_diagram_matrices():
     with pytest.raises(ValueError):
         span_rank([SparseMat.identity(2), SparseMat.identity(3)])
     with pytest.raises(BudgetExceededError):
-        span_rank([SparseMat.identity(1297)])
+        span_rank([SparseMat.identity(1024)] * 1025)  # 1025 * 1024 nonzeros
+
+
+def test_vectorize_reads_integral_entries_as_ints():
+    m = SparseMat(2, [(0, 1, 3), (1, 0, Fraction(1, 2))])
+    assert _vectorize(m) == {1: 3, 2: Fraction(1, 2)} and type(_vectorize(m)[1]) is int
+    assert all(type(v) is int for v in _vectorize(matrix(next(enumerate_diagrams(2)), 3)).values())
 
 
 def test_commutant_of_identity_is_everything():
@@ -136,7 +146,7 @@ def test_commutant_of_identity_is_everything():
     with pytest.raises(ValueError):
         commutant_dimension([SparseMat.identity(2), SparseMat.identity(3)])
     with pytest.raises(BudgetExceededError):
-        commutant_dimension([SparseMat.identity(257)])
+        commutant_dimension([SparseMat.identity(1025)])  # 1025^2 rows of width 1
 
 
 def test_commutant_of_identity_plus_all_ones():
@@ -198,12 +208,71 @@ def test_perm_span_dimensions():
     assert perm_span_dim(2, 2) == 2
     assert perm_span_dim(3, 2) == 6
     assert perm_span_dim(4, 2) == 23
+    assert perm_span_dim(6, 1) == 26
+    assert perm_span_dim(2, 3) == 2
     with pytest.raises(BudgetExceededError):
-        perm_span_dim(6, 1)
+        perm_span_dim(8, 2)  # rank 891 over 3200 positions
     with pytest.raises(BudgetExceededError):
-        perm_span_dim(2, 3)
+        perm_span_dim(6, 3)  # rank 588 over 17136 positions
     with pytest.raises(ValueError):
         perm_span_dim(0, 1)
+
+
+def test_perm_span_closure_matches_the_factorial_oracle():
+    # the rank of all n! permutation matrices, the loop the closure replaces
+    for n in range(1, 6):
+        for k in range(1, 4):
+            rows = (
+                {r * n**k + c: 1 for r, c, _ in perm_matrix(PermWord(images), k).triples}
+                for images in permutations(range(1, n + 1))
+            )
+            assert perm_span_dim(n, k) == rank_of_rows(rows) == perm_span_expected(n, k), (n, k)
+
+
+def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 16)
+    assert span_rank([SparseMat.identity(4)] * 4) == 1
+    with pytest.raises(BudgetExceededError, match="^span rank of 5 matrices with 20 nonzeros"):
+        span_rank([SparseMat.identity(4)] * 5)
+    assert commutant_dimension([SparseMat.identity(2)] * 4) == 4  # 16 rows of width 1
+    with pytest.raises(BudgetExceededError, match="^commutant at dimension 2 feeds 8 rows of width up to 2 \\* 2"):
+        commutant_dimension([SparseMat(2, [(0, 0, 1), (0, 1, 1)])] * 2)  # 8 rows times 2^2
+    assert perm_span_dim(2, 2) == 2  # rank 2 over 2^2 + 2^2 positions
+    with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(3, 1\\) reaches rank 5 over 9 positions"):
+        perm_span_dim(3, 1)
+
+
+def _commutant_updates(gens: list[SparseMat]) -> tuple[int, int]:
+    echelon = Echelon()
+    for g in gens:
+        for row in _commutator_rows(g):
+            echelon.add(row)
+    return echelon.rank, echelon.updates
+
+
+def test_b1_first_order_does_less_elimination_work(monkeypatch):
+    for n, k in ((3, 2), (4, 2), (5, 2), (3, 3)):
+        gens = [matrix(d, n) for d in partition_algebra_generators(k)]
+        b1_first = gens[-1:] + gens[:-1]
+        old_rank, old_updates = _commutant_updates(gens)
+        new_rank, new_updates = _commutant_updates(b1_first)
+        assert new_rank == old_rank and new_updates < old_updates, (n, k, new_updates, old_updates)
+        # and it is the order verify_schur_weyl feeds
+        seen = []
+        monkeypatch.setattr(centralizer, "commutant_dimension", lambda g: seen.append(list(g)) or commutant_dimension(g))
+        verify_schur_weyl(n, k)
+        monkeypatch.undo()
+        assert b1_first in seen, (n, k)
+
+
+def test_echelon_add_reports_independence_and_counts_updates():
+    echelon = Echelon()
+    assert echelon.add({0: 1, 2: 3}) and echelon.updates == 0
+    assert echelon.add({0: 2, 1: 1}) and echelon.updates == 2  # one step against a 2-entry row
+    assert not echelon.add({0: 1, 2: 3})
+    assert not echelon.add({})
+    assert echelon.rank == 2 and echelon.updates == 4
+    assert echelon.basis == {0: {0: 1, 2: 3}, 1: {1: 1, 2: -6}}
 
 
 def test_perm_span_matches_dense_oracle_at_3_1():
@@ -280,6 +349,14 @@ def test_double_commutant_verdict_needs_the_closed_form():
     assert rep.double_commutant_verdict
     fields = {**vars(rep), "perm_span_expected": rep.perm_span_expected + 1}
     assert not VerificationReport(**fields).double_commutant_verdict
+
+
+@pytest.mark.parametrize("n, k, centralizer_dim, perm_span", [(3, 3, 122, 6), (6, 2, 15, 207)])
+def test_verify_schur_weyl_past_5_2(n, k, centralizer_dim, perm_span):
+    rep = verify_schur_weyl(n, k)
+    assert rep.centralizer_dim == rep.diagram_span_rank == rep.commutant_of_perms_dim == centralizer_dim
+    assert rep.perm_span_dim == rep.commutant_of_diagrams_dim == rep.perm_span_expected == perm_span
+    assert rep.surjectivity_verdict and rep.double_commutant_verdict
 
 
 def test_verify_schur_weyl_below_stable_range_still_consistent():

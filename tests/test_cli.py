@@ -273,7 +273,7 @@ def test_unknown_subcommand_exits_with_usage_code():
 
 
 def test_budget_errors_surface_as_runtime_failures(capsys):
-    code, _, err = run(capsys, "verify", "schur-weyl", "--n", "6", "--k", "2")
+    code, _, err = run(capsys, "verify", "schur-weyl", "--n", "8", "--k", "2")
     assert code == 1 and "error:" in err
 
 
@@ -295,6 +295,8 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["norms", "lp", "--k", "4", "--trunc", "300", "--diagram", "1|2|3|4|1'|2'|3'|4'"], 1.0),  # 300^4
         (["verify", "closure", "--k", "5"], 5.0),  # 1496^2 pairs, after enumerating the 1496
         (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
+        (["verify", "schur-weyl", "--n", "5", "--k", "3"], 1.0),  # 62500 commutant rows times 5^2
+        (["verify", "schur-weyl", "--n", "4", "--k", "4"], 1.0),  # 3188340 diagram-matrix nonzeros
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):

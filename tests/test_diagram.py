@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partalg.diagram import (
     AlgebraElement,
@@ -253,6 +255,26 @@ def test_flip_is_an_involution_and_swaps_rows():
         assert flip(flip(d)) == d
         assert is_top_propagating(flip(d)) == is_bottom_propagating(d)
         assert is_uniform(flip(d)) == is_uniform(d)
+
+
+def _diagram_of(k: int, labels: list[int]) -> Diagram:
+    first_seen: dict[int, int] = {}
+    return Diagram(k, SetPartition(tuple(first_seen.setdefault(x, len(first_seen)) for x in labels)))
+
+
+@st.composite
+def diagram_pairs(draw, max_k: int = 3) -> tuple[Diagram, Diagram]:
+    k = draw(st.integers(1, max_k))
+    labels = st.lists(st.integers(0, 2 * k - 1), min_size=2 * k, max_size=2 * k)
+    return _diagram_of(k, draw(labels)), _diagram_of(k, draw(labels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=diagram_pairs())
+def test_flip_reverses_products_and_keeps_the_middle_count(pair):
+    d1, d2 = pair
+    product_12, middles = concat(d1, d2)
+    assert concat(flip(d2), flip(d1)) == (flip(product_12), middles)
 
 
 def test_subalgebras_closed_without_middle_components():

@@ -225,6 +225,21 @@ def test_eval_at_substitutes_the_marker():
         assert eval_at(elem, n) == matrix(d, n).scaled(n)
 
 
+def test_eval_at_checks_the_summed_nonzeros_before_building(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rep, "matrix", lambda d, n: calls.append(d) or matrix(d, n))
+    monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
+    singletons = AlgebraElement.from_diagram(parse_diagram("1|2|1'|2'"))  # 2^4 nonzeros at n = 2
+    assert eval_at(singletons, 2).nnz == 16
+    both = singletons + AlgebraElement.from_diagram(identity(2))  # 16 + 2^2 nonzeros
+    calls.clear()
+    with pytest.raises(BudgetExceededError, match="^evaluation at n = 2 of 2 diagrams has 20 nonzeros"):
+        eval_at(both, 2)
+    assert calls == []
+    vanishing = AlgebraElement.from_diagram(identity(2), Poly.of(-2, 1))  # n - 2, zero at n = 2
+    assert eval_at(singletons + vanishing, 2).nnz == 16  # terms that vanish at n are left out
+
+
 def test_act_applies_matrix_to_coordinates():
     swap = matrix(parse_diagram("1,2'|2,1'"), 2)
     vec = [Fraction(i) for i in (1, 2, 3, 4)]
