@@ -86,11 +86,19 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
+    # results such as Bell(2000) pass Python's limit on the digits of an int
+    # printed as text; argument parsing above keeps that guard
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return execute(cmd)
     except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 # Input checks --------------------------------------------------------------
@@ -224,6 +232,11 @@ def _run_schur_weyl(n, k):
 
 
 def _run_closure(k):
+    g = 2 * k
+    enumerates = f"closure at k = {k} enumerates Bell({g})"
+    rep.check_budget(rep.power_floor(2, g - 1), f"{enumerates} >= 2^{g - 1} diagrams")
+    bell = setpart.bell_number(g)
+    rep.check_budget(bell, f"{enumerates} = {bell} diagrams")
     doc: dict = {"k": k}
     for subset, pred in (
         ("uniform", diagram.is_uniform),
@@ -239,8 +252,11 @@ def _run_closure(k):
 
 
 def _run_classification(k, weights):
-    m, trunc = setpart.bell_number(2 * k), seqmodel.DEFAULT_TRUNC_LARGE
-    rep.check_budget(m * trunc**k, f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} diagrams")
+    trunc = seqmodel.DEFAULT_TRUNC_LARGE
+    scans = f"classification at k = {k} scans {trunc}^{k} tuples for each of"
+    rep.check_budget(rep.power_floor(trunc, k), f"{scans} the Bell({2 * k}) diagrams")
+    m = setpart.bell_number(2 * k)
+    rep.check_budget(m * trunc**k, f"{scans} {m} diagrams")
     lp_ok = linf_ok = col_ok = True
     for d in diagram.enumerate_diagrams(k):
         lp_ok = lp_ok and seqmodel.classify_lp_bounded(d, weights) == diagram.is_uniform(d)

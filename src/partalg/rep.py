@@ -18,11 +18,13 @@ from typing import Iterable, Sequence
 
 from .diagram import AlgebraElement, Diagram
 from .rational import frac_str
+from .setpart import SetPartition
 
 __all__ = [
     "BudgetExceededError",
     "MATRIX_NNZ_LIMIT",
     "check_budget",
+    "power_floor",
     "SparseMat",
     "PermWord",
     "tuple_rank",
@@ -53,6 +55,16 @@ def check_budget(work: int, what: str) -> None:
     """
     if work > MATRIX_NNZ_LIMIT:
         raise BudgetExceededError(f"{what}, over the limit {MATRIX_NNZ_LIMIT}")
+
+
+def power_floor(base: int, exp: int) -> int:
+    """base^exp with exp capped where 2^exp already passes MATRIX_NNZ_LIMIT.
+
+    Over the limit exactly when base^exp is, and cheap at any exp, so a
+    lower bound of this form refuses a huge size before its exact work
+    estimate is computed.
+    """
+    return base ** min(exp, MATRIX_NNZ_LIMIT.bit_length())
 
 
 class SparseMat:
@@ -191,33 +203,35 @@ def entry(d: Diagram, top: Sequence[int], bottom: Sequence[int]) -> int:
     return 1
 
 
+def _constant_ranks(part: SetPartition, n: int) -> list[int]:
+    """Ascending ranks of the tuples in [n]^g constant on each block of part: p_part.
+
+    A block's value x + 1 adds x times its place value, the sum of n^(g-1-i) over its
+    vertices i.  Blocks come in order of least vertex, where such tuples first differ.
+    """
+    place = [n**i for i in reversed(range(part.ground_size))]
+    ranks = [0]
+    for block in part.blocks:
+        step = sum(place[v] for v in block)
+        ranks = [p + x * step for p in ranks for x in range(n)]
+    return ranks
+
+
 def matrix(d: Diagram, n: int) -> SparseMat:
     """The n^k by n^k 0/1 matrix of d, columns indexed by bottom tuples.
 
-    Nonzero positions correspond bijectively to assignments of a value in
-    {1, ..., n} to each block.  Giving a block the value x + 1 adds x times
-    its top place value (the sum of n^(k-1-i) over its top vertices i) to
-    the row rank and x times its bottom place value to the column rank, so
-    positions are generated block by block without ranking any tuple.
-    Blocks come in order of their least vertex, top-row blocks first, so the
-    positions come out distinct and row-major sorted.
+    Read row-major it is p_(d.part) over the 2k vertices, so each rank p
+    from `_constant_ranks` is the position (p // n^k, p % n^k).
 
     Raises BudgetExceededError, before allocating anything, when the
     n^(number of blocks) nonzeros would exceed MATRIX_NNZ_LIMIT.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    k = d.k
-    blocks = d.part.blocks
-    b = len(blocks)
+    b = d.part.num_blocks
     check_budget(n**b, f"matrix at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
-    place = [n ** (k - 1 - i) for i in range(k)] * 2
-    cells = [(0, 0)]
-    for block in blocks:
-        top = sum(place[v] for v in block if v < k)
-        bottom = sum(place[v] for v in block if v >= k)
-        cells = [(r + x * top, c + x * bottom) for r, c in cells for x in range(n)]
-    return SparseMat._trusted(n**k, tuple([(r, c, _ONE) for r, c in cells]))
+    dim = n**d.k
+    return SparseMat._trusted(dim, tuple([(p // dim, p % dim, _ONE) for p in _constant_ranks(d.part, n)]))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .diagram import Diagram, flip, is_top_propagating
 from .rational import frac_str
-from .rep import act, check_budget, matrix, tuple_rank
+from .rep import _constant_ranks, act, check_budget, matrix, tuple_rank
 from .setpart import SetPartition, enumerate_partitions, count_partitions, refines
 
 __all__ = [
@@ -236,21 +236,17 @@ class MonomialInvariant:
 
 
 def monomial_vector(pi: SetPartition, n: int) -> MonomialInvariant:
-    """Indicator of tuples constant on every block of pi."""
+    """Indicator of tuples constant on every block of pi: the power sum p_pi.
+
+    A diagram's matrix read row-major is p_(d.part); both scatter `rep._constant_ranks`.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     k = pi.ground_size
     check_budget(n**k, f"monomial vector at n = {n} has {n}^{k} entries")
-    blocks = pi.blocks
-    vec = []
-    for t in product(range(1, n + 1), repeat=k):
-        hit = 1
-        for block in blocks:
-            x = t[block[0]]
-            if any(t[p] != x for p in block[1:]):
-                hit = 0
-                break
-        vec.append(hit)
+    vec = [0] * n**k
+    for p in _constant_ranks(pi, n):
+        vec[p] = 1
     return MonomialInvariant(pi, n, tuple(vec))
 
 
@@ -287,8 +283,8 @@ def act_on_invariants(d: Diagram, pi: SetPartition, n: int) -> dict[SetPartition
             coeffs[tau] = a
     recon = [Fraction(0)] * len(w)
     for tau, a in coeffs.items():
-        for idx in monomial_vector(tau, n).support():
-            recon[idx] += a
+        for p in _constant_ranks(tau, n):
+            recon[p] += a
     if recon != w:
         raise RuntimeError("acted vector left the invariant span")
     return coeffs

@@ -297,6 +297,10 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
         (["verify", "schur-weyl", "--n", "5", "--k", "3"], 1.0),  # 62500 commutant rows times 5^2
         (["verify", "schur-weyl", "--n", "4", "--k", "4"], 1.0),  # 3188340 diagram-matrix nonzeros
+        (["verify", "closure", "--k", "7"], 1.0),  # Bell(14) diagrams, refused before enumerating
+        (["verify", "closure", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
+        (["verify", "schur-weyl", "--n", "2", "--k", "2000"], 1.0),  # at least 2^3999 nonzeros
+        (["verify", "classification", "--k", "2000"], 1.0),  # at least 8^2000 tuples
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
@@ -304,7 +308,7 @@ def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < seconds
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.endswith(", over the limit 1048576\n") and err.count("\n") == 1
 
 
 def test_large_restricted_partition_counts_finish_fast(capsys):
@@ -313,6 +317,26 @@ def test_large_restricted_partition_counts_finish_fast(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, err) == (0, "")
     assert out == f"{bell_number(600)}\n"
+
+
+def test_results_of_any_size_print_and_the_digit_limit_is_restored(capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no limit on int-to-text conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever earlier calls left
+    try:
+        # Bell(2000) has 4350 digits
+        plain = run(capsys, "count", "bell", "--g", "2000")
+        as_json = run(capsys, "count", "bell", "--g", "2000", "--json")
+        assert sys.get_int_max_str_digits() == 4300
+        # argument parsing keeps the limit: a 5000-digit --g is a usage error
+        assert run(capsys, "count", "bell", "--g", "1" * 5000)[0] == 2
+        sys.set_int_max_str_digits(0)
+        want = bell_number(2000)
+        assert plain == (0, f"{want}\n", "")
+        assert as_json[0] == 0 and json_lines(as_json[1]) == [{"g": 2000, "count": want}]
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -108,6 +108,16 @@ def test_matrix_checks_the_nonzero_budget_before_building(monkeypatch):
         matrix(parse_diagram("1|2|3,1'|2'|3'"), 2)
 
 
+def test_power_floor_is_over_the_limit_exactly_when_the_power_is(monkeypatch):
+    for limit in (16, rep.MATRIX_NNZ_LIMIT):
+        monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", limit)
+        for base in range(6):
+            for exp in range(1, 40):
+                floor = rep.power_floor(base, exp)
+                assert floor <= base**exp and (floor > limit) == (base**exp > limit)
+    assert rep.power_floor(2, 10**12) == 2**21  # cheap at any exponent
+
+
 def test_matrix_golden_swap():
     swap = parse_diagram("1,2'|2,1'")
     assert matrix(swap, 2).to_dense() == [

@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partalg.centralizer import rank_of_rows
 from partalg.diagram import (
@@ -19,7 +21,7 @@ from partalg.diagram import (
     parse_diagram,
 )
 from partalg import rep, seqmodel
-from partalg.rep import BudgetExceededError, PermWord, act, matrix, perm_matrix, unrank_tuple
+from partalg.rep import BudgetExceededError, PermWord, _constant_ranks, act, matrix, perm_matrix, tuple_rank, unrank_tuple
 from partalg.seqmodel import (
     GeometricWeights,
     act_on_invariants,
@@ -33,7 +35,7 @@ from partalg.seqmodel import (
     lp_norm_profile,
     monomial_vector,
 )
-from partalg.setpart import SetPartition, enumerate_partitions, from_blocks, orbit_partition
+from partalg.setpart import SetPartition, enumerate_partitions, from_blocks, from_labels, orbit_partition
 
 HALF = GeometricWeights(Fraction(1, 2))
 THIRD = GeometricWeights(Fraction(1, 3))
@@ -231,6 +233,30 @@ def test_monomial_vector_examples():
     assert mv.k == 3 and mv.n == 2
     with pytest.raises(ValueError):
         monomial_vector(from_blocks(2, [[0], [1]]), 0)
+
+
+def _constant_tuples_oracle(pi: SetPartition, n: int) -> list[int]:
+    """Brute-force oracle: scan every tuple and test it block by block."""
+    vec = []
+    for t in product(range(1, n + 1), repeat=pi.ground_size):
+        hit = 1
+        for block in pi.blocks:
+            x = t[block[0]]
+            if any(t[p] != x for p in block[1:]):
+                hit = 0
+                break
+        vec.append(hit)
+    return vec
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.integers(0, 4), max_size=5), n=st.integers(1, 4))
+def test_constant_ranks_match_a_scan_of_every_tuple(labels, n):
+    pi = from_labels(labels)
+    vec = _constant_tuples_oracle(pi, n)
+    tuples = product(range(1, n + 1), repeat=pi.ground_size)
+    assert _constant_ranks(pi, n) == [tuple_rank(t, n) for t, hit in zip(tuples, vec) if hit]
+    assert monomial_vector(pi, n).vector == tuple(vec)
 
 
 def test_monomial_vectors_are_symmetric_group_fixed():
