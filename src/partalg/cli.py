@@ -5,13 +5,13 @@ failures exit 1.
 
 Every subcommand is one entry of `_COMMANDS`, keyed by "group action".  An
 entry holds the subcommand's argparse flags, a validator that turns the
-parsed flags into a payload dict or raises UsageError, a runner that takes
-the payload as keyword arguments and returns (documents, exit code), and a
-formatter that turns one document into its plain-text lines.  The parser,
-`parse` and `execute` are written once over that table, and `execute` is
-the only place that prints: one compact JSON line per document with
---json, otherwise the formatter's lines.  Adding a subcommand means adding
-one entry.
+parsed flags into a payload dict or raises ValueError (which `parse` turns
+into a UsageError), a runner that takes the payload as keyword arguments
+and returns (documents, exit code), and a formatter that turns one document
+into its plain-text lines.  The parser, `parse` and `execute` are written
+once over that table, and `execute` is the only place that prints: one
+compact JSON line per document with --json, otherwise the formatter's
+lines.  Adding a subcommand means adding one entry.
 """
 
 from __future__ import annotations
@@ -64,10 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse(argv: list[str]) -> Command:
-    """Parse and semantically validate one invocation."""
+    """Parse and semantically validate one invocation; a ValueError is a UsageError."""
     ns = _build_parser().parse_args(argv)
     name = f"{ns.group} {ns.action}"
-    return Command(name=name, payload=_COMMANDS[name].validate(ns), json_mode=ns.json)
+    try:
+        payload = _COMMANDS[name].validate(ns)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+    return Command(name=name, payload=payload, json_mode=ns.json)
 
 
 def execute(cmd: Command) -> int:
@@ -111,13 +115,6 @@ def _positive(ns: argparse.Namespace, *flags: str) -> None:
         raise UsageError(f"{names} must be {what}")
 
 
-def _parse_diagram(text: str, k: int | None) -> diagram.Diagram:
-    try:
-        return diagram.parse_diagram(text, k=k)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
-
-
 def _parse_pi(text: str, k: int | None) -> setpart.SetPartition:
     try:
         return setpart.parse_text(text, ground_size=k)
@@ -126,10 +123,7 @@ def _parse_pi(text: str, k: int | None) -> setpart.SetPartition:
 
 
 def _parse_ratio(text: str) -> seqmodel.GeometricWeights:
-    try:
-        return seqmodel.GeometricWeights(rational.parse_frac(text))
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    return seqmodel.GeometricWeights(rational.parse_frac(text))
 
 
 def _parse_tuple(text: str) -> tuple[int, ...]:
@@ -160,19 +154,19 @@ def _check_n_k(ns):
 
 
 def _check_multiply(ns):
-    lhs = _parse_diagram(ns.lhs, ns.k)
+    lhs = diagram.parse_diagram(ns.lhs, ns.k)
     if ns.rhs is None:
         raise UsageError("--rhs is required")
-    return {"lhs": lhs, "rhs": _parse_diagram(ns.rhs, lhs.k)}
+    return {"lhs": lhs, "rhs": diagram.parse_diagram(ns.rhs, lhs.k)}
 
 
 def _check_rep_matrix(ns):
     _positive(ns, "n")
-    return {"d": _parse_diagram(ns.diagram, ns.k), "n": ns.n}
+    return {"d": diagram.parse_diagram(ns.diagram, ns.k), "n": ns.n}
 
 
 def _check_rep_entry(ns):
-    d = _parse_diagram(ns.diagram, ns.k)
+    d = diagram.parse_diagram(ns.diagram, ns.k)
     top, bottom = _parse_tuple(ns.top), _parse_tuple(ns.bottom)
     if len(top) != d.k or len(bottom) != d.k:
         raise UsageError(f"--top and --bottom must have length k={d.k}")
@@ -185,7 +179,7 @@ def _check_inv_vector(ns):
 
 
 def _check_inv_act(ns):
-    d = _parse_diagram(ns.diagram, ns.k)
+    d = diagram.parse_diagram(ns.diagram, ns.k)
     pi = _parse_pi(ns.pi, d.k)
     if ns.n < d.k:
         raise UsageError(f"--n must be at least k={d.k} for a full monomial basis")
@@ -231,12 +225,22 @@ def _run_schur_weyl(n, k):
     return [report.to_json()], 0 if report.surjectivity_verdict and report.double_commutant_verdict else 1
 
 
-def _run_closure(k):
+def _check_diagram_count(what: str, k: int) -> None:
+    """Refuse, before enumerating, the Bell(2k) diagrams on k strands over the budget."""
     g = 2 * k
-    enumerates = f"closure at k = {k} enumerates Bell({g})"
+    enumerates = f"{what} at k = {k} enumerates Bell({g})"
     rep.check_budget(rep.power_floor(2, g - 1), f"{enumerates} >= 2^{g - 1} diagrams")
     bell = setpart.bell_number(g)
     rep.check_budget(bell, f"{enumerates} = {bell} diagrams")
+
+
+def _run_enumerate(k, subset):
+    _check_diagram_count("diagrams enumerate", k)
+    return ({"diagram": d.to_text()} for d in diagram.enumerate_diagrams(k, subset)), 0
+
+
+def _run_closure(k):
+    _check_diagram_count("closure", k)
     doc: dict = {"k": k}
     for subset, pred in (
         ("uniform", diagram.is_uniform),
@@ -319,7 +323,7 @@ _COMMANDS: dict[str, _Spec] = {
     "diagrams enumerate": _Spec(
         {"--k": {"type": int, "required": True}, "--filter": {"choices": ["uniform", "top", "bottom"]}},
         lambda ns: {**_check_k(ns), "subset": ns.filter},
-        lambda k, subset: (({"diagram": d.to_text()} for d in diagram.enumerate_diagrams(k, subset)), 0),
+        _run_enumerate,
         _field("diagram"),
     ),
     "diagrams multiply": _Spec(
@@ -330,7 +334,7 @@ _COMMANDS: dict[str, _Spec] = {
     ),
     "diagrams classify": _Spec(
         {"--k": {"type": int}, "--diagram": {"required": True}, "--ratio": {"default": "1/2"}},
-        lambda ns: {"d": _parse_diagram(ns.diagram, ns.k), "weights": _parse_ratio(ns.ratio)},
+        lambda ns: {"d": diagram.parse_diagram(ns.diagram, ns.k), "weights": _parse_ratio(ns.ratio)},
         _run_classify,
         _fields,
     ),
@@ -363,14 +367,14 @@ _COMMANDS: dict[str, _Spec] = {
     "norms lp": _Spec(
         {"--k": {"type": int}, "--diagram": {"required": True}, "--trunc": {"type": int, "action": "append"},
          "--ratio": {"default": "1/2"}},
-        lambda ns: {"d": _parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns),
+        lambda ns: {"d": diagram.parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns),
                     "weights": _parse_ratio(ns.ratio)},
         lambda d, truncations, weights: ([seqmodel.lp_norm_profile(d, weights, truncations).to_json()], 0),
         lambda doc: doc["norms"],
     ),
     "norms linf": _Spec(
         {"--k": {"type": int}, "--diagram": {"required": True}, "--trunc": {"type": int, "action": "append"}},
-        lambda ns: {"d": _parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns)},
+        lambda ns: {"d": diagram.parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns)},
         lambda d, truncations: ([seqmodel.linf_norm_profile(d, truncations).to_json()], 0),
         lambda doc: doc["norms"],
     ),

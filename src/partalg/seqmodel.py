@@ -11,15 +11,16 @@ block; the weighted l1 norm still scans trunc^k tuples.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
-from .diagram import Diagram, flip, is_top_propagating
+from .diagram import Diagram, concat, flip, is_top_propagating
 from .rational import frac_str
-from .rep import _constant_ranks, act, check_budget, matrix, tuple_rank
-from .setpart import SetPartition, enumerate_partitions, count_partitions, refines
+from .rep import _constant_ranks, check_budget, matrix
+from .setpart import SetPartition, count_partitions
 
 __all__ = [
     "GeometricWeights",
@@ -258,33 +259,24 @@ def invariant_dim(n: int, k: int) -> int:
 
 
 def act_on_invariants(d: Diagram, pi: SetPartition, n: int) -> dict[SetPartition, Fraction]:
-    """Apply a diagram to a monomial invariant and re-expand in the basis.
+    """Apply a diagram to the power sum p_pi: d . p_pi = n^c . p_sigma.
 
-    Requires n >= k so every partition of the k positions is an orbit type.
-    The change of basis is unitriangular along refinement: coefficients are
-    peeled off orbit representatives from the finest partition down, and
-    the expansion is re-checked against the acted vector exactly.
+    With pi on the top row of a diagram P whose bottom vertices are
+    singletons, sigma is the top row of the product d . P and c counts the
+    middle components it swallows, each a free value in [n].  The answer is
+    checked exactly against d's matrix, row by row over the support of p_pi.
     """
     k = d.k
     if pi.ground_size != k:
         raise ValueError(f"partition covers {pi.ground_size} positions, the diagram has k={k}")
     if n < k:
         raise ValueError(f"need n >= k = {k} for a full monomial basis, got n={n}")
-    w = act(matrix(d, n), monomial_vector(pi, n).vector)
-    order = sorted(enumerate_partitions(k), key=lambda p: (-p.num_blocks, p.rgs))
-    coeffs: dict[SetPartition, Fraction] = {}
-    for tau in order:
-        rep = tuple(lab + 1 for lab in tau.rgs)
-        a = w[tuple_rank(rep, n)]
-        for finer, c in coeffs.items():
-            if finer is not tau and refines(finer, tau):
-                a -= c
-        if a:
-            coeffs[tau] = a
-    recon = [Fraction(0)] * len(w)
-    for tau, a in coeffs.items():
-        for p in _constant_ranks(tau, n):
-            recon[p] += a
-    if recon != w:
+    b = pi.num_blocks
+    dp, c = concat(d, Diagram(k, SetPartition(pi.rgs + tuple(range(b, b + k)))))
+    sigma = SetPartition(dp.part.rgs[:k])
+    check_budget(n**b, f"power sum at n = {n} of a {b}-block partition has {n}^{b} nonzeros")
+    support = set(_constant_ranks(pi, n))
+    hits = Counter(r for r, col, _ in matrix(d, n).triples if col in support)
+    if dict(hits) != dict.fromkeys(_constant_ranks(sigma, n), n**c):
         raise RuntimeError("acted vector left the invariant span")
-    return coeffs
+    return {sigma: Fraction(n**c)}

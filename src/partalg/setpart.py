@@ -105,18 +105,20 @@ def from_blocks(ground_size: int, blocks: Iterable[Iterable[int]]) -> SetPartiti
     """Canonicalize an explicit block list covering {0, ..., ground_size-1}."""
     if ground_size < 0:
         raise ValueError("ground size must be non-negative")
-    owner = [-1] * ground_size
+    # keyed by the given vertices, so a huge ground_size allocates nothing
+    # before it fails: the least missing vertex is at most len(owner)
+    owner: dict[int, int] = {}
     for b_idx, block in enumerate(blocks):
         for v in block:
             if not isinstance(v, int) or not 0 <= v < ground_size:
                 raise ValueError(f"vertex {v!r} out of range for ground size {ground_size}")
-            if owner[v] != -1:
+            if v in owner:
                 raise ValueError(f"vertex {v} appears in more than one block")
             owner[v] = b_idx
-    for v, o in enumerate(owner):
-        if o == -1:
-            raise ValueError(f"vertex {v} is missing from the blocks")
-    return from_labels(owner)
+    if len(owner) < ground_size:
+        missing = next(v for v in range(ground_size) if v not in owner)
+        raise ValueError(f"vertex {missing} is missing from the blocks")
+    return from_labels([owner[v] for v in range(ground_size)])
 
 
 def from_edges(ground_size: int, edges: Iterable[tuple[int, int]]) -> SetPartition:

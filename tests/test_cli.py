@@ -242,6 +242,12 @@ def test_invariants_subcommands(capsys):
     )
     assert (code, out) == (0, "1,2: 1/1\n")
 
+    # one diagram product: no vector over all 200^3 tuples is built
+    code, out, _ = run(
+        capsys, "invariants", "act", "--n", "200", "--diagram", "1,2,3,1',2',3'", "--pi", "1,2|3",
+    )
+    assert (code, out) == (0, "1,2,3: 1/1\n")
+
 
 def test_invariants_act_rejects_small_n(capsys):
     code, _, err = run(
@@ -301,6 +307,10 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["verify", "closure", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
         (["verify", "schur-weyl", "--n", "2", "--k", "2000"], 1.0),  # at least 2^3999 nonzeros
         (["verify", "classification", "--k", "2000"], 1.0),  # at least 8^2000 tuples
+        (["diagrams", "enumerate", "--k", "6"], 1.0),  # Bell(12) diagrams, refused before enumerating
+        (["diagrams", "enumerate", "--k", "5000000"], 1.0),  # at least 2^9999999 diagrams
+        # 200^3 tuples in the support of p_pi
+        (["invariants", "act", "--n", "200", "--diagram", "1,2,3,1',2',3'", "--pi", "1|2|3"], 1.0),
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
@@ -309,6 +319,22 @@ def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
     assert time.perf_counter() - start < seconds
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.endswith(", over the limit 1048576\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["diagrams", "classify", "--k", "1000000000", "--diagram", "1,1'"], 1),
+        (["invariants", "vector", "--k", "1000000000", "--n", "2", "--pi", "1,2"], 2),
+    ],
+)
+def test_a_huge_k_with_few_vertices_is_a_usage_error_at_once(capsys, argv, missing):
+    # the least missing vertex is found without allocating the 10^9 vertices
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.endswith(f"vertex {missing} is missing from the blocks\n") and err.count("\n") == 1
 
 
 def test_large_restricted_partition_counts_finish_fast(capsys):

@@ -35,7 +35,7 @@ from partalg.seqmodel import (
     lp_norm_profile,
     monomial_vector,
 )
-from partalg.setpart import SetPartition, enumerate_partitions, from_blocks, from_labels, orbit_partition
+from partalg.setpart import SetPartition, enumerate_partitions, from_blocks, from_labels, orbit_partition, refines
 
 HALF = GeometricWeights(Fraction(1, 2))
 THIRD = GeometricWeights(Fraction(1, 3))
@@ -301,6 +301,57 @@ def test_act_on_invariants_examples():
     assert act_on_invariants(counter, split, 4) == {split: Fraction(4)}
 
 
+def _peel_oracle(d: Diagram, pi: SetPartition, n: int) -> dict[SetPartition, Fraction]:
+    """Act on the dense p_pi and peel the basis coefficients off orbit representatives.
+
+    The change of basis is unitriangular along refinement, so the finest
+    partitions come first; the expansion is checked against the acted vector.
+    """
+    w = act(matrix(d, n), monomial_vector(pi, n).vector)
+    coeffs: dict[SetPartition, Fraction] = {}
+    for tau in sorted(enumerate_partitions(d.k), key=lambda p: (-p.num_blocks, p.rgs)):
+        a = w[tuple_rank(tuple(lab + 1 for lab in tau.rgs), n)]
+        a -= sum(c for finer, c in coeffs.items() if refines(finer, tau))
+        if a:
+            coeffs[tau] = a
+    recon = [Fraction(0)] * len(w)
+    for tau, a in coeffs.items():
+        for i, v in enumerate(monomial_vector(tau, n).vector):
+            recon[i] += a * v
+    assert recon == w
+    return coeffs
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_act_on_invariants_matches_the_peeled_dense_action(k):
+    for d in enumerate_diagrams(k):
+        for pi in enumerate_partitions(k):
+            for n in range(k, 5):
+                assert act_on_invariants(d, pi, n) == _peel_oracle(d, pi, n)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    labels=st.lists(st.integers(0, 7), min_size=8, max_size=8),
+    pi_labels=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+)
+def test_act_on_invariants_matches_the_peeled_dense_action_on_four_strands(labels, pi_labels):
+    d, pi = Diagram(4, from_labels(labels)), from_labels(pi_labels)
+    assert act_on_invariants(d, pi, 4) == _peel_oracle(d, pi, 4)
+
+
+def test_act_on_invariants_checks_the_product_against_the_matrix(monkeypatch):
+    real = seqmodel.concat
+
+    def one_more_middle(d1, d2):
+        prod, middles = real(d1, d2)
+        return prod, middles + 1
+
+    monkeypatch.setattr(seqmodel, "concat", one_more_middle)
+    with pytest.raises(RuntimeError, match="acted vector left the invariant span"):
+        act_on_invariants(parse_diagram("1,1'|2,2'"), SetPartition((0, 1)), 3)
+
+
 def test_act_on_invariants_is_size_independent_on_propagating_diagrams():
     for d in enumerate_diagrams(2, "bottom"):
         for pi in enumerate_partitions(2):
@@ -324,9 +375,13 @@ def test_truncation_scans_and_monomial_vectors_check_the_budget_first(monkeypatc
     pi = SetPartition((0, 1))
     assert l1_truncated_norm(d, 4, HALF)
     assert len(monomial_vector(pi, 4).vector) == 16
+    # one block for the matrix, two for p_pi: n^2 nonzeros in p_pi
+    merge = parse_diagram("1,2,1',2'")
+    assert act_on_invariants(merge, pi, 4)
     for call in (
         lambda: l1_truncated_norm(d, 5, HALF),
         lambda: monomial_vector(pi, 5),
+        lambda: act_on_invariants(merge, pi, 5),
     ):
         with pytest.raises(BudgetExceededError):
             call()
