@@ -22,7 +22,7 @@ from math import factorial, gcd, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .diagram import enumerate_diagrams, partition_algebra_generators
-from .rep import BudgetExceededError, PermWord, SparseMat, check_budget, matrix, perm_matrix, power_floor
+from .rep import BudgetExceededError, PermWord, SparseMat, check_budget, check_diagram_count, matrix, perm_matrix
 from .setpart import _stirling_row, count_partitions
 
 __all__ = [
@@ -255,8 +255,8 @@ def perm_span_dim(n: int, k: int) -> int:
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    # a pattern with b blocks is met by n (n-1) ... (n-b+1) tuples
-    positions = sum(s * prod(range(n - b + 1, n + 1)) ** 2 for b, s in enumerate(_stirling_row(k)))
+    # a pattern with b blocks is met by n (n-1) ... (n-b+1) tuples, none when b > n
+    positions = sum(s * prod(range(n - b + 1, n + 1)) ** 2 for b, s in enumerate(_stirling_row(k, n)))
     rank = perm_span_expected(n, k)
     check_budget(rank * positions, f"permutation span at (n, k) = ({n}, {k}) reaches rank {rank} over {positions} positions")
     dim = n**k
@@ -370,17 +370,15 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     Each layer checks its work estimate before it starts.  The layers run
     in the order that lets a size over the budget fail before any long
     elimination: first the diagram matrices' nonzeros, then the permutation
-    span and the commutant of the diagrams.  The nonzeros are first
-    compared through a lower bound, so a huge k is refused before the
-    Stirling row of its exact count is built.
+    span and the commutant of the diagrams.  `check_diagram_count` runs
+    first, so a huge k is refused before the Stirling row of the exact
+    nonzero count is built.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    have = f"the diagram matrices at (n, k) = ({n}, {k}) have"
-    base = max(n, 2)  # the all-singleton diagram alone has n^(2k) nonzeros, and Bell(2k) >= 2^(2k-1)
-    check_budget(power_floor(base, 2 * k - 1), f"{have} at least {base}^{2 * k - 1} nonzeros")
-    nnz = sum(s * n**b for b, s in enumerate(_stirling_row(2 * k)))
-    check_budget(nnz, f"{have} sum_b S({2 * k}, b) {n}^b nonzeros")
+    check_diagram_count("schur-weyl verification", k)
+    nnz = sum(s * n**b for b, s in enumerate(_stirling_row(2 * k, 2 * k)))
+    check_budget(nnz, f"the diagram matrices at (n, k) = ({n}, {k}) have sum_b S({2 * k}, b) {n}^b nonzeros")
     perm_span = perm_span_dim(n, k)
     gens = partition_algebra_generators(k)
     commutant_of_diagrams = commutant_dimension([matrix(d, n) for d in gens[-1:] + gens[:-1]])  # b_1 first

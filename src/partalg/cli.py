@@ -225,22 +225,13 @@ def _run_schur_weyl(n, k):
     return [report.to_json()], 0 if report.surjectivity_verdict and report.double_commutant_verdict else 1
 
 
-def _check_diagram_count(what: str, k: int) -> None:
-    """Refuse, before enumerating, the Bell(2k) diagrams on k strands over the budget."""
-    g = 2 * k
-    enumerates = f"{what} at k = {k} enumerates Bell({g})"
-    rep.check_budget(rep.power_floor(2, g - 1), f"{enumerates} >= 2^{g - 1} diagrams")
-    bell = setpart.bell_number(g)
-    rep.check_budget(bell, f"{enumerates} = {bell} diagrams")
-
-
 def _run_enumerate(k, subset):
-    _check_diagram_count("diagrams enumerate", k)
+    rep.check_diagram_count("diagrams enumerate", k)
     return ({"diagram": d.to_text()} for d in diagram.enumerate_diagrams(k, subset)), 0
 
 
 def _run_closure(k):
-    _check_diagram_count("closure", k)
+    rep.check_diagram_count("closure", k)
     doc: dict = {"k": k}
     for subset, pred in (
         ("uniform", diagram.is_uniform),
@@ -256,11 +247,9 @@ def _run_closure(k):
 
 
 def _run_classification(k, weights):
+    m = rep.check_diagram_count("classification", k)
     trunc = seqmodel.DEFAULT_TRUNC_LARGE
-    scans = f"classification at k = {k} scans {trunc}^{k} tuples for each of"
-    rep.check_budget(rep.power_floor(trunc, k), f"{scans} the Bell({2 * k}) diagrams")
-    m = setpart.bell_number(2 * k)
-    rep.check_budget(m * trunc**k, f"{scans} {m} diagrams")
+    rep.check_budget(m * trunc**k, f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} diagrams")
     lp_ok = linf_ok = col_ok = True
     for d in diagram.enumerate_diagrams(k):
         lp_ok = lp_ok and seqmodel.classify_lp_bounded(d, weights) == diagram.is_uniform(d)

@@ -18,13 +18,13 @@ from typing import Iterable, Sequence
 
 from .diagram import AlgebraElement, Diagram
 from .rational import frac_str
-from .setpart import SetPartition
+from .setpart import SetPartition, bell_number
 
 __all__ = [
     "BudgetExceededError",
     "MATRIX_NNZ_LIMIT",
     "check_budget",
-    "power_floor",
+    "check_diagram_count",
     "SparseMat",
     "PermWord",
     "tuple_rank",
@@ -57,14 +57,19 @@ def check_budget(work: int, what: str) -> None:
         raise BudgetExceededError(f"{what}, over the limit {MATRIX_NNZ_LIMIT}")
 
 
-def power_floor(base: int, exp: int) -> int:
-    """base^exp with exp capped where 2^exp already passes MATRIX_NNZ_LIMIT.
+def check_diagram_count(what: str, k: int) -> int:
+    """Refuse a walk over the Bell(2k) diagrams on k strands over the budget; return Bell(2k).
 
-    Over the limit exactly when base^exp is, and cheap at any exp, so a
-    lower bound of this form refuses a huge size before its exact work
-    estimate is computed.
+    The floor 2^(2k-1) <= Bell(2k) is compared first, its exponent capped
+    where 2^exp already passes MATRIX_NNZ_LIMIT, so a huge k is refused
+    before the Bell triangle of the exact count is built.
     """
-    return base ** min(exp, MATRIX_NNZ_LIMIT.bit_length())
+    g = 2 * k
+    enumerates = f"{what} at k = {k} enumerates Bell({g})"
+    check_budget(2 ** min(g - 1, MATRIX_NNZ_LIMIT.bit_length()), f"{enumerates} >= 2^{g - 1} diagrams")
+    bell = bell_number(g)
+    check_budget(bell, f"{enumerates} = {bell} diagrams")
+    return bell
 
 
 class SparseMat:

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Callable, Sequence
 
 from .diagram import Diagram, concat, flip, is_top_propagating
@@ -111,7 +112,7 @@ def l1_truncated_norm(d: Diagram, trunc: int, weights: GeometricWeights) -> Frac
                 col *= free_sums[len(tops)]
         if not ok:
             continue
-        ratio = col / weights.mu_tuple(bt)
+        ratio = col / prod(mu[v] for v in bt)
         if ratio > best:
             best = ratio
     return best

@@ -170,12 +170,13 @@ def bell_number(g: int) -> int:
     return row[0]
 
 
-def _stirling_row(g: int) -> list[int]:
-    """Stirling numbers of the second kind S(g, 0), ..., S(g, g)."""
+def _stirling_row(g: int, cap: int) -> list[int]:
+    """Stirling numbers of the second kind S(g, 0), ..., S(g, min(g, cap)), in O(g * cap) steps."""
     row = [1]
     for n in range(1, g + 1):
-        nxt = [0] * (n + 1)
-        for m in range(1, n + 1):
+        top = min(n, cap)
+        nxt = [0] * (top + 1)
+        for m in range(1, top + 1):
             nxt[m] = m * (row[m] if m < len(row) else 0) + row[m - 1]
         row = nxt
     return row
@@ -187,7 +188,7 @@ def stirling2(g: int, j: int) -> int:
         raise ValueError("arguments must be non-negative")
     if j > g:
         return 0
-    return _stirling_row(g)[j]
+    return _stirling_row(g, j)[j]
 
 
 def count_partitions(ground_size: int, max_blocks: int | None = None) -> int:
@@ -198,7 +199,7 @@ def count_partitions(ground_size: int, max_blocks: int | None = None) -> int:
         return bell_number(ground_size)
     if max_blocks < 1:
         raise ValueError("max_blocks must be at least 1")
-    return sum(_stirling_row(ground_size)[: min(max_blocks, ground_size) + 1])
+    return sum(_stirling_row(ground_size, max_blocks))
 
 
 def orbit_partition(values: Sequence[int]) -> SetPartition:

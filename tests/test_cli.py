@@ -305,12 +305,14 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["verify", "schur-weyl", "--n", "4", "--k", "4"], 1.0),  # 3188340 diagram-matrix nonzeros
         (["verify", "closure", "--k", "7"], 1.0),  # Bell(14) diagrams, refused before enumerating
         (["verify", "closure", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
-        (["verify", "schur-weyl", "--n", "2", "--k", "2000"], 1.0),  # at least 2^3999 nonzeros
-        (["verify", "classification", "--k", "2000"], 1.0),  # at least 8^2000 tuples
+        (["verify", "schur-weyl", "--n", "2", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
+        (["verify", "classification", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
         (["diagrams", "enumerate", "--k", "6"], 1.0),  # Bell(12) diagrams, refused before enumerating
         (["diagrams", "enumerate", "--k", "5000000"], 1.0),  # at least 2^9999999 diagrams
         # 200^3 tuples in the support of p_pi
         (["invariants", "act", "--n", "200", "--diagram", "1,2,3,1',2',3'", "--pi", "1|2|3"], 1.0),
+        (["verify", "schur-weyl", "--n", "1", "--k", "6"], 1.0),  # Bell(12) diagrams, before their nonzeros
+        (["verify", "classification", "--k", "6"], 1.0),  # Bell(12) diagrams, before their tuples
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
@@ -319,6 +321,10 @@ def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
     assert time.perf_counter() - start < seconds
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.endswith(", over the limit 1048576\n") and err.count("\n") == 1
+    # from k = 6 on Bell(2k) is over the limit, and one guard refuses every walk over the diagrams
+    k = int(argv[argv.index("--k") + 1]) if "--k" in argv else 0
+    if argv[0] in ("diagrams", "verify") and k >= 6:
+        assert " enumerates Bell(" in err
 
 
 @pytest.mark.parametrize(
@@ -338,11 +344,16 @@ def test_a_huge_k_with_few_vertices_is_a_usage_error_at_once(capsys, argv, missi
 
 
 def test_large_restricted_partition_counts_finish_fast(capsys):
-    start = time.perf_counter()
-    code, out, err = run(capsys, "count", "partitions", "--g", "600", "--max-blocks", "600")
-    assert time.perf_counter() - start < 1.0
-    assert (code, err) == (0, "")
-    assert out == f"{bell_number(600)}\n"
+    for argv, want in [
+        (["count", "partitions", "--g", "600", "--max-blocks", "600"], bell_number(600)),
+        (["count", "partitions", "--g", "6000", "--max-blocks", "2"], 2**5999),  # S(g, 1) + S(g, 2)
+        (["invariants", "dim", "--n", "2", "--k", "6000"], 2**5999),
+    ]:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        assert out == f"{want}\n"
 
 
 def test_results_of_any_size_print_and_the_digit_limit_is_restored(capsys):

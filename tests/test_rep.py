@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -108,14 +109,18 @@ def test_matrix_checks_the_nonzero_budget_before_building(monkeypatch):
         matrix(parse_diagram("1|2|3,1'|2'|3'"), 2)
 
 
-def test_power_floor_is_over_the_limit_exactly_when_the_power_is(monkeypatch):
-    for limit in (16, rep.MATRIX_NNZ_LIMIT):
-        monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", limit)
-        for base in range(6):
-            for exp in range(1, 40):
-                floor = rep.power_floor(base, exp)
-                assert floor <= base**exp and (floor > limit) == (base**exp > limit)
-    assert rep.power_floor(2, 10**12) == 2**21  # cheap at any exponent
+def test_diagram_count_guard_refuses_by_its_floor_then_by_bell(monkeypatch):
+    monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
+    assert rep.check_diagram_count("walk", 2) == 15  # Bell(4)
+    # the floor 2^5 <= Bell(6) = 203 already passes 16, so the floor refuses k = 3
+    with pytest.raises(BudgetExceededError) as refused:
+        rep.check_diagram_count("walk", 3)
+    assert str(refused.value) == "walk at k = 3 enumerates Bell(6) >= 2^5 diagrams, over the limit 16"
+    monkeypatch.undo()
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="^walk at k = 1000000 enumerates Bell"):
+        rep.check_diagram_count("walk", 10**6)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_matrix_golden_swap():

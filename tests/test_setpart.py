@@ -8,6 +8,7 @@ import pytest
 
 from partalg.setpart import (
     SetPartition,
+    _stirling_row,
     bell_number,
     count_partitions,
     enumerate_partitions,
@@ -176,6 +177,10 @@ def test_stirling_numbers():
             by_count[p.num_blocks] = by_count.get(p.num_blocks, 0) + 1
         for j in range(1, g + 1):
             assert stirling2(g, j) == by_count.get(j, 0)
+    # a row capped at cap blocks is the prefix of the full row
+    for g in range(12):
+        for cap in range(13):
+            assert _stirling_row(g, cap) == _stirling_row(g, g)[: cap + 1]
 
 
 def test_orbit_partition_examples():
