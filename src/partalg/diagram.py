@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from . import setpart
@@ -52,6 +53,15 @@ class Diagram:
             raise ValueError(
                 f"partition covers {self.part.ground_size} vertices, expected {2 * self.k}"
             )
+
+    @cached_property
+    def block_rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per block, in block order: its top positions and its bottom positions, 0-based in each row."""
+        k = self.k
+        return tuple(
+            (tuple(v for v in block if v < k), tuple(v - k for v in block if v >= k))
+            for block in self.part.blocks
+        )
 
     def to_text(self) -> str:
         return self.part.to_text(top_size=self.k)
@@ -118,24 +128,17 @@ def partition_algebra_generators(k: int) -> list[Diagram]:
 
 def is_uniform(d: Diagram) -> bool:
     """Every block meets the two rows in equally many vertices."""
-    k = d.k
-    for block in d.part.blocks:
-        tops = sum(1 for v in block if v < k)
-        if 2 * tops != len(block):
-            return False
-    return True
+    return all(len(tops) == len(bots) for tops, bots in d.block_rows)
 
 
 def is_top_propagating(d: Diagram) -> bool:
     """No block lies entirely in the top row."""
-    k = d.k
-    return all(any(v >= k for v in block) for block in d.part.blocks)
+    return all(bots for _, bots in d.block_rows)
 
 
 def is_bottom_propagating(d: Diagram) -> bool:
     """No block lies entirely in the bottom row."""
-    k = d.k
-    return all(any(v < k for v in block) for block in d.part.blocks)
+    return all(tops for tops, _ in d.block_rows)
 
 
 _SUBSET_PREDICATES = {

@@ -212,12 +212,15 @@ def _constant_ranks(part: SetPartition, n: int) -> list[int]:
     """Ascending ranks of the tuples in [n]^g constant on each block of part: p_part.
 
     A block's value x + 1 adds x times its place value, the sum of n^(g-1-i) over its
-    vertices i.  Blocks come in order of least vertex, where such tuples first differ.
+    vertices i.  Blocks are RGS labels, in order of least vertex, where such tuples first differ.
     """
-    place = [n**i for i in reversed(range(part.ground_size))]
+    steps = [0] * part.num_blocks
+    place = 1
+    for label in reversed(part.rgs):
+        steps[label] += place
+        place *= n
     ranks = [0]
-    for block in part.blocks:
-        step = sum(place[v] for v in block)
+    for step in steps:
         ranks = [p + x * step for p in ranks for x in range(n)]
     return ranks
 

@@ -68,31 +68,25 @@ class GeometricWeights:
         return out
 
 
-def _split_blocks(d: Diagram) -> list[tuple[list[int], list[int]]]:
-    """Per block: top positions and bottom positions (both 0-based in the row)."""
-    k = d.k
-    return [
-        ([v for v in block if v < k], [v - k for v in block if v >= k])
-        for block in d.part.blocks
-    ]
-
-
 def l1_truncated_norm(d: Diagram, trunc: int, weights: GeometricWeights) -> Fraction:
     """Weighted operator norm on the first trunc basis sequences.
 
     This is the maximum over bottom tuples i of (sum of mu_j over tops j
     compatible with i) / mu_i.  The inner sum factors over blocks: a block
     meeting the bottom row pins its value, a block isolated in the top row
-    sums a free value over the truncation window.
+    sums a free value over the truncation window.  The smallest weight
+    ratio^trunc spans w 64-bit words, so the scan costs about trunc^k * w.
     """
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
     k = d.k
-    check_budget(trunc**k, f"l1 norm at truncation {trunc} scans {trunc}^{k} tuples")
-    split = _split_blocks(d)
+    r = weights.ratio
+    w = max(1, trunc * max(r.numerator.bit_length(), r.denominator.bit_length()) // 64)
+    check_budget(trunc**k * w, f"l1 norm at truncation {trunc} scans {trunc}^{k} tuples of {w}-word weights")
+    rows = d.block_rows
     mu = [Fraction(0)] + [weights.mu(i) for i in range(1, trunc + 1)]
     free_sums: dict[int, Fraction] = {}
-    for tops, bots in split:
+    for tops, bots in rows:
         if not bots and len(tops) not in free_sums:
             e = len(tops)
             free_sums[e] = sum((mu[v] ** e for v in range(1, trunc + 1)), Fraction(0))
@@ -100,7 +94,7 @@ def l1_truncated_norm(d: Diagram, trunc: int, weights: GeometricWeights) -> Frac
     for bt in product(range(1, trunc + 1), repeat=k):
         col = Fraction(1)
         ok = True
-        for tops, bots in split:
+        for tops, bots in rows:
             if bots:
                 x = bt[bots[0]]
                 if any(bt[p] != x for p in bots[1:]):
@@ -118,23 +112,16 @@ def l1_truncated_norm(d: Diagram, trunc: int, weights: GeometricWeights) -> Frac
     return best
 
 
-def _stable(norm: Callable[[int], Fraction], small: int, large: int) -> bool:
-    """The paper's test: the truncated norm is the same at both truncations."""
-    if not 1 <= small < large:
-        raise ValueError("truncations must satisfy 1 <= small < large")
-    return norm(small) == norm(large)
+def _stable(norm: Callable[[int], Fraction]) -> bool:
+    """The paper's test: the truncated norm is the same at both default truncations."""
+    return norm(DEFAULT_TRUNC_SMALL) == norm(DEFAULT_TRUNC_LARGE)
 
 
-def classify_lp_bounded(
-    d: Diagram,
-    weights: GeometricWeights | None = None,
-    trunc_small: int = DEFAULT_TRUNC_SMALL,
-    trunc_large: int = DEFAULT_TRUNC_LARGE,
-) -> bool:
+def classify_lp_bounded(d: Diagram, weights: GeometricWeights | None = None) -> bool:
     """Bounded on the weighted sequence space: norm stable across truncations."""
     if weights is None:
         weights = GeometricWeights()
-    return _stable(lambda t: l1_truncated_norm(d, t, weights), trunc_small, trunc_large)
+    return _stable(lambda t: l1_truncated_norm(d, t, weights))
 
 
 def linf_matrix_norm(d: Diagram, trunc: int) -> Fraction:
@@ -146,30 +133,24 @@ def linf_matrix_norm(d: Diagram, trunc: int) -> Fraction:
     """
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
-    return Fraction(trunc ** sum(1 for tops, _ in _split_blocks(d) if not tops))
+    return Fraction(trunc ** sum(1 for tops, _ in d.block_rows if not tops))
 
 
-def classify_linf_bounded(
-    d: Diagram,
-    trunc_small: int = DEFAULT_TRUNC_SMALL,
-    trunc_large: int = DEFAULT_TRUNC_LARGE,
-) -> bool:
+def classify_linf_bounded(d: Diagram) -> bool:
     """Bounded for the matrix sup-norm: row sums stable across truncations."""
-    return _stable(lambda t: linf_matrix_norm(d, t), trunc_small, trunc_large)
+    return _stable(lambda t: linf_matrix_norm(d, t))
 
 
-def classify_column_finite(d: Diagram, trunc: int = DEFAULT_TRUNC_SMALL) -> bool:
+def classify_column_finite(d: Diagram) -> bool:
     """Every column has finitely many nonzeros in the untruncated action.
 
     Decided combinatorially (no block isolated in the top row) and
     cross-checked against column counts, the row counts of the flipped
-    diagram, at two truncation sizes.
+    diagram, at the two default truncations.
     """
-    if trunc < 1:
-        raise ValueError("truncation must be at least 1")
     verdict = is_top_propagating(d)
     flipped = flip(d)
-    if _stable(lambda t: linf_matrix_norm(flipped, t), trunc, 2 * trunc) != verdict:
+    if _stable(lambda t: linf_matrix_norm(flipped, t)) != verdict:
         raise RuntimeError("column count stability disagrees with the block criterion")
     return verdict
 
@@ -208,7 +189,7 @@ def _profile(
         diagram=d,
         truncations=tuple(truncations),
         norms=tuple(values[t] for t in truncations),
-        divergent=not _stable(values.get, DEFAULT_TRUNC_SMALL, DEFAULT_TRUNC_LARGE),
+        divergent=not _stable(values.get),
         ratio=ratio,
     )
 

@@ -153,7 +153,7 @@ def test_c08_enumeration_counts():
 
 
 def test_c09_weighted_l1_boundedness_classification():
-    ok = all(classify_lp_bounded(d, HALF, 4, 8) == is_uniform(d) for d in D2)
+    ok = all(classify_lp_bounded(d, HALF) == is_uniform(d) for d in D2)
     for d in enumerate_diagrams(2, "uniform"):
         for trunc in (2, 4, 6, 8):
             ok = ok and l1_truncated_norm(d, trunc, HALF) == 1

@@ -149,6 +149,24 @@ def test_rep_matrix_modes(capsys):
     assert len(out.splitlines()) == 36
 
 
+def test_rep_matrix_of_one_long_block_prints_fast(capsys):
+    # one block on 10000 strands: three nonzeros, each block's place value summed in one pass
+    k = 10000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rep", "matrix", "--n", "3", "--diagram", "rgs:" + ",".join(["0"] * (2 * k)))
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    diagonal = (3**k - 1) // 2
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:  # 3^10000 has 4772 digits, over Python's default limit of 4300
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out.splitlines() == [f"{x * diagonal} {x * diagonal} 1/1" for x in range(3)]
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
+
+
 def test_verify_schur_weyl(capsys):
     code, out, _ = run(capsys, "verify", "schur-weyl", "--n", "2", "--k", "2", "--json")
     assert code == 0
@@ -313,6 +331,7 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["invariants", "act", "--n", "200", "--diagram", "1,2,3,1',2',3'", "--pi", "1|2|3"], 1.0),
         (["verify", "schur-weyl", "--n", "1", "--k", "6"], 1.0),  # Bell(12) diagrams, before their nonzeros
         (["verify", "classification", "--k", "6"], 1.0),  # Bell(12) diagrams, before their tuples
+        (["norms", "lp", "--k", "1", "--diagram", "1|1'", "--trunc", "16000"], 1.0),  # 500-word weights
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):

@@ -277,6 +277,32 @@ def test_flip_reverses_products_and_keeps_the_middle_count(pair):
     assert concat(flip(d2), flip(d1)) == (flip(product_12), middles)
 
 
+def _uniform_by_scan(d: Diagram) -> bool:
+    return all(2 * sum(1 for v in block if v < d.k) == len(block) for block in d.part.blocks)
+
+
+def _top_propagating_by_scan(d: Diagram) -> bool:
+    return all(any(v >= d.k for v in block) for block in d.part.blocks)
+
+
+def _bottom_propagating_by_scan(d: Diagram) -> bool:
+    return all(any(v < d.k for v in block) for block in d.part.blocks)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pair=diagram_pairs(max_k=4))
+def test_block_rows_split_each_block_and_decide_the_subsets(pair):
+    for d in pair:
+        k = d.k
+        assert len(d.block_rows) == d.part.num_blocks
+        for (tops, bots), block in zip(d.block_rows, d.part.blocks):
+            assert all(0 <= v < k for v in tops + bots)
+            assert tops + tuple(v + k for v in bots) == block
+        assert is_uniform(d) == _uniform_by_scan(d)
+        assert is_top_propagating(d) == _top_propagating_by_scan(d)
+        assert is_bottom_propagating(d) == _bottom_propagating_by_scan(d)
+
+
 def test_subalgebras_closed_without_middle_components():
     for k in (1, 2, 3):
         for subset, pred in (

@@ -132,10 +132,6 @@ def test_lp_classifier_agrees_with_uniformity():
     rng = random.Random(31)
     for d in rng.sample(list(enumerate_diagrams(3)), 25):
         assert classify_lp_bounded(d, THIRD) == is_uniform(d)
-    with pytest.raises(ValueError):
-        classify_lp_bounded(D2[0], trunc_small=4, trunc_large=4)
-    with pytest.raises(ValueError):
-        classify_lp_bounded(D2[0], trunc_small=0, trunc_large=4)
 
 
 def test_linf_norm_frozen_values():
