@@ -8,6 +8,9 @@ reproducible.  Integral entries, which every entry of a diagram or
 permutation matrix is, become plain ints when a row is read and stay ints
 throughout, so no `Fraction` is built on that path.
 
+A commutant eliminates only the rows of its generators that are neither
+permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`).
+
 There are no size caps.  Each layer estimates its work as one integer
 before it starts and passes it to `rep.check_budget`, so a size that
 cannot finish fails at once with `BudgetExceededError`.
@@ -15,7 +18,6 @@ cannot finish fails at once with `BudgetExceededError`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, prod
@@ -158,14 +160,22 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
     """Dimension of the space of matrices commuting with every generator.
 
     A matrix commutes with an algebra exactly when it commutes with a
-    generating set of it, so pass generators rather than a whole basis: the
-    work grows with the number of matrices given, and their order matters.
-    The unknown X is the full D*D matrix; each generator G contributes the
-    linear system XG - GX = 0, one sparse row per matrix position (i, l).
+    generating set of it, so pass generators rather than a whole basis.
+    X commutes with a permutation matrix P exactly when X[a, b] = X[Pa, Pb],
+    so the unknowns are the orbits of the D*D positions under the
+    permutation generators (one 1 in every row and column, nothing else),
+    labelled by one flood fill.  A diagonal G gives X[a, b] = 0 wherever
+    G[a, a] != G[b, b], which kills whole orbits.  Only the rows of
+    XG - GX = 0 of the other generators reach `rank_of_rows`: in the live
+    orbit unknowns, primitive, distinct and in descending order, which at
+    the (7, 2) diagram commutant costs 272,154 `Echelon.updates` against
+    2,625,038 in ascending order.  The dimension is live orbits minus rank.
 
-    The work is estimated as rows times w^2, with D*D rows per generator and
-    w the most nonzeros in any row or column of a generator: a row has at
-    most 2w entries, and the basis rows it meets fill in with w as well.
+    The work is checked twice: before labelling, the D*D positions plus the
+    2 * D * nnz terms the other generators' rows read; before eliminating,
+    min(rows, live) * live, the most entries the echelon basis can hold.
+    `Echelon.updates` is 0.57, 0.31, 0.21 and 0.14 of the latter on the
+    diagram commutants at (n, k) = (5, 2), (7, 2), (4, 3) and (3, 4).
     """
     gens = list(generators)
     if not gens:
@@ -174,23 +184,69 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
     for g in gens:
         if g.dim != dim:
             raise ValueError("generators must share one dimension")
-    rows = len(gens) * dim * dim
-    w = max(map(_widest, gens))
-    check_budget(rows * w * w, f"commutant at dimension {dim} feeds {rows} rows of width up to 2 * {w}")
-    return dim * dim - rank_of_rows(row for g in gens for row in _commutator_rows(g))
+    perms, diagonals, others = [], [], []
+    for g in gens:
+        if all(r == c for r, c, _ in g.triples):
+            diagonals.append(g)
+        elif (image := _permutation(g)) is not None:
+            perms.append(image)
+        else:
+            others.append(g)
+    terms = 2 * dim * sum(g.nnz for g in others)
+    check_budget(dim * dim + terms, f"commutant at dimension {dim} labels {dim * dim} positions and reads {terms} terms")
+    label, count = _position_orbits(dim, perms)
+    dead = set()
+    for g in diagonals:
+        diag = {r: v for r, _, v in g.triples}
+        dead.update(o for p, o in enumerate(label) if diag.get(p // dim, 0) != diag.get(p % dim, 0))
+    live = count - len(dead)
+    label = [-1 if o in dead else o for o in label]
+    rows = {tuple(sorted(row.items())) for g in others for row in _orbit_commutator_rows(g, label)}
+    check_budget(min(len(rows), live) * live, f"commutant at dimension {dim} eliminates {len(rows)} rows in {live} orbit unknowns")
+    return live - rank_of_rows(dict(row) for row in sorted(rows, reverse=True))
 
 
-def _widest(g: SparseMat) -> int:
-    """The most nonzeros in any row or column of g."""
-    rows, cols = Counter(r for r, _, _ in g.triples), Counter(c for _, c, _ in g.triples)
-    return max([*rows.values(), *cols.values()], default=0)
+def _permutation(g: SparseMat) -> list[int] | None:
+    """Row r to the column of its one if g is a permutation matrix, else None.
+
+    Rows and columns are both checked: a diagram matrix can have one 1 in
+    every column and two in some row.
+    """
+    dim = g.dim
+    if g.nnz != dim or any(r != i or v != 1 for i, (r, _, v) in enumerate(g.triples)):
+        return None
+    image = [c for _, c, _ in g.triples]
+    return image if len(set(image)) == dim else None
 
 
-def _commutator_rows(g: SparseMat) -> Iterator[dict[int, int | Fraction]]:
-    """The nonzero rows of XG - GX = 0, position (i, l) by position, in order.
+def _position_orbits(dim: int, perms: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Orbit labels of the positions a * dim + b under (a, b) -> (s[a], s[b]), and the orbit count.
 
-    Unknown X[i, j] is column i * dim + j.  Integral entries of G (all of
-    them, for diagram and permutation matrices) enter the rows as ints.
+    Labels are numbered in the order of each orbit's first position.
+    """
+    label = [-1] * (dim * dim)
+    count = 0
+    for start in range(dim * dim):
+        if label[start] >= 0:
+            continue
+        label[start] = count
+        stack = [start]
+        while stack:
+            a, b = divmod(stack.pop(), dim)
+            for s in perms:
+                q = s[a] * dim + s[b]
+                if label[q] < 0:
+                    label[q] = count
+                    stack.append(q)
+        count += 1
+    return label, count
+
+
+def _orbit_commutator_rows(g: SparseMat, label: Sequence[int]) -> Iterator[dict[int, int | Fraction]]:
+    """The nonzero rows of XG - GX = 0 in orbit unknowns, each primitive (see `_integer_row`).
+
+    Unknown X[i, j] is orbit label[i * dim + j], or 0 where that label is
+    -1.  Integral entries of G enter the rows as ints.
     """
     dim = g.dim
     g_rows: list[list] = [[] for _ in range(dim)]
@@ -202,14 +258,16 @@ def _commutator_rows(g: SparseMat) -> Iterator[dict[int, int | Fraction]]:
     for i in range(dim):
         row_i = g_rows[i]
         for l in range(dim):
-            row = {i * dim + j: v for j, v in g_cols[l]}  # (XG)_{i,l} = sum_j X[i,j] G[j,l]
+            row: dict[int, int | Fraction] = {}
+            for j, v in g_cols[l]:  # (XG)_{i,l} = sum_j X[i,j] G[j,l]
+                o = label[i * dim + j]
+                if o >= 0:
+                    row[o] = row.get(o, 0) + v
             for j, v in row_i:  # (GX)_{i,l} = sum_j G[i,j] X[j,l]
-                key = j * dim + l
-                nv = row.get(key, 0) - v
-                if nv:
-                    row[key] = nv
-                else:
-                    del row[key]
+                o = label[j * dim + l]
+                if o >= 0:
+                    row[o] = row.get(o, 0) - v
+            row = _integer_row(row)
             if row:
                 yield row
 
@@ -361,11 +419,11 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     only the matrices of `partition_algebra_generators(k)`: matrix(d1) @
     matrix(d2) = n^m * matrix(d1 o d2) with n >= 1, so those matrices and
     the identity generate the diagram span as an algebra, and both have the
-    same commutant at every n.  Their rows enter b_1 first, then p_1, then
-    the permutations: the single-entry rows of the diagonal b_1 clear
-    unknowns before the wider rows arrive, which cuts the elimination work.
-    The double-commutant verdict also compares both computed ranks with the
-    closed form `perm_span_expected`.
+    same commutant at every n.  There s_1 and the long cycle give orbits,
+    the diagonal b_1 kills the orbits whose tuples differ in their pattern
+    of equal entries, and only the rows of p_1 are eliminated; the
+    commutant of the symmetric group is an orbit count.  The double-commutant
+    verdict also compares both computed ranks with `perm_span_expected`.
 
     Each layer checks its work estimate before it starts.  The layers run
     in the order that lets a size over the budget fail before any long
@@ -380,8 +438,7 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     nnz = sum(s * n**b for b, s in enumerate(_stirling_row(2 * k, 2 * k)))
     check_budget(nnz, f"the diagram matrices at (n, k) = ({n}, {k}) have sum_b S({2 * k}, b) {n}^b nonzeros")
     perm_span = perm_span_dim(n, k)
-    gens = partition_algebra_generators(k)
-    commutant_of_diagrams = commutant_dimension([matrix(d, n) for d in gens[-1:] + gens[:-1]])  # b_1 first
+    commutant_of_diagrams = commutant_dimension([matrix(d, n) for d in partition_algebra_generators(k)])
     diagram_span = span_rank([matrix(d, n) for d in enumerate_diagrams(k)])
     perm_gens = [perm_matrix(s, k) for s in symmetric_group_generators(n)]
     return VerificationReport(

@@ -14,8 +14,8 @@ from partalg.centralizer import (
     BudgetExceededError,
     Echelon,
     VerificationReport,
-    _commutator_rows,
     _integer_row,
+    _permutation,
     _vectorize,
     centralizer_dimension,
     commutant_dimension,
@@ -26,7 +26,7 @@ from partalg.centralizer import (
     symmetric_group_generators,
     verify_schur_weyl,
 )
-from partalg.diagram import enumerate_diagrams, partition_algebra_generators
+from partalg.diagram import enumerate_diagrams, parse_diagram, partition_algebra_generators
 from partalg.rep import PermWord, SparseMat, matrix, perm_matrix
 from partalg.setpart import orbit_partition
 
@@ -138,6 +138,32 @@ def test_vectorize_reads_integral_entries_as_ints():
     assert all(type(v) is int for v in _vectorize(matrix(next(enumerate_diagrams(2)), 3)).values())
 
 
+def _commutator_rows(g: SparseMat):
+    # the nonzero rows of XG - GX = 0 in all D*D unknowns, X[i, j] at i * dim + j
+    dim = g.dim
+    g_rows: list[list] = [[] for _ in range(dim)]
+    g_cols: list[list] = [[] for _ in range(dim)]
+    for r, c, v in g.triples:
+        g_rows[r].append((c, v))
+        g_cols[c].append((r, v))
+    for i in range(dim):
+        for l in range(dim):
+            row = {i * dim + j: v for j, v in g_cols[l]}  # (XG)_{i,l}
+            for j, v in g_rows[i]:  # (GX)_{i,l}
+                key = j * dim + l
+                row[key] = row.get(key, 0) - v
+            row = {c: v for c, v in row.items() if v}
+            if row:
+                yield row
+
+
+def _commutant_oracle(gens: list[SparseMat]) -> int:
+    # elimination in position coordinates; diagonal generators first only
+    # because their single-entry rows keep this oracle fast
+    gens = sorted(gens, key=lambda g: not all(r == c for r, c, _ in g.triples))
+    return gens[0].dim ** 2 - rank_of_rows(row for g in gens for row in _commutator_rows(g))
+
+
 def test_commutant_of_identity_is_everything():
     for dim in (1, 2, 3, 5):
         assert commutant_dimension([SparseMat.identity(dim)]) == dim * dim
@@ -146,7 +172,48 @@ def test_commutant_of_identity_is_everything():
     with pytest.raises(ValueError):
         commutant_dimension([SparseMat.identity(2), SparseMat.identity(3)])
     with pytest.raises(BudgetExceededError):
-        commutant_dimension([SparseMat.identity(1025)])  # 1025^2 rows of width 1
+        commutant_dimension([SparseMat.identity(1025)])  # 1025^2 positions to label
+
+
+def test_commutant_by_orbits_matches_position_elimination():
+    sizes = [(n, k) for n in range(1, 6) for k in (1, 2)] + [(n, 3) for n in range(1, 5)]
+    for n, k in sizes:
+        for gens in (
+            [perm_matrix(s, k) for s in symmetric_group_generators(n)],
+            [matrix(d, n) for d in partition_algebra_generators(k)],
+        ):
+            assert commutant_dimension(gens) == _commutant_oracle(gens), (n, k)
+
+
+def _random_generator(data, dim: int) -> SparseMat:
+    kind = data.draw(st.sampled_from(("permutation", "diagonal", "other")))
+    if kind == "permutation":
+        image = data.draw(st.permutations(range(dim)))
+        return SparseMat(dim, [(r, c, 1) for r, c in enumerate(image)])
+    if kind == "diagonal":
+        values = data.draw(st.lists(RATIONALS, min_size=dim, max_size=dim))
+        return SparseMat(dim, [(i, i, v) for i, v in enumerate(values)])
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), st.one_of(st.integers(-3, 3), RATIONALS))
+    return SparseMat(dim, data.draw(st.lists(cells, max_size=2 * dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 6), count=st.integers(1, 4), data=st.data())
+def test_commutant_of_random_generator_mixes_matches_position_elimination(dim, count, data):
+    gens = [_random_generator(data, dim) for _ in range(count)]
+    assert commutant_dimension(gens) == _commutant_oracle(gens)
+
+
+def test_a_matrix_with_one_1_per_column_only_is_not_a_permutation():
+    # at n = 2 the matrix of {1,2,1'},{2'} has one 1 in every column and two
+    # in rows (1,1) and (2,2): it is not a permutation matrix
+    m = matrix(parse_diagram("1,2,1'|2'"), 2)
+    assert m.nnz == m.dim and len({c for _, c, _ in m.triples}) == m.dim
+    assert _permutation(m) is None
+    swap = perm_matrix(PermWord((2, 1)), 2)
+    assert _permutation(swap) == [3, 2, 1, 0]
+    for gens in ([m], [m, swap], [swap, m, matrix(parse_diagram("1,2|1',2'"), 2)]):
+        assert commutant_dimension(gens) == _commutant_oracle(gens)
 
 
 def test_commutant_of_identity_plus_all_ones():
@@ -234,35 +301,80 @@ def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
     assert span_rank([SparseMat.identity(4)] * 4) == 1
     with pytest.raises(BudgetExceededError, match="^span rank of 5 matrices with 20 nonzeros"):
         span_rank([SparseMat.identity(4)] * 5)
-    assert commutant_dimension([SparseMat.identity(2)] * 4) == 4  # 16 rows of width 1
-    with pytest.raises(BudgetExceededError, match="^commutant at dimension 2 feeds 8 rows of width up to 2 \\* 2"):
-        commutant_dimension([SparseMat(2, [(0, 0, 1), (0, 1, 1)])] * 2)  # 8 rows times 2^2
+    assert commutant_dimension([SparseMat.identity(4)] * 4) == 16  # 4^2 positions, no rows
+    with pytest.raises(BudgetExceededError, match="^commutant at dimension 5 labels 25 positions and reads 0 terms"):
+        commutant_dimension([SparseMat.identity(5)])
+    assert commutant_dimension([SparseMat(2, [(0, 1, 1)])]) == 2  # 2^2 positions and 2 * 2 * 1 terms
+    with pytest.raises(BudgetExceededError, match="^commutant at dimension 2 labels 4 positions and reads 16 terms"):
+        commutant_dimension([SparseMat(2, [(0, 0, 1), (0, 1, 1)])] * 2)
     assert perm_span_dim(2, 2) == 2  # rank 2 over 2^2 + 2^2 positions
     with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(3, 1\\) reaches rank 5 over 9 positions"):
         perm_span_dim(3, 1)
+    # the nilpotent 4 x 4 Jordan block: 16 + 2 * 4 * 3 terms pass, then its
+    # 14 distinct rows in 16 unknowns can fill 14 * 16 basis entries
+    jordan = SparseMat(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 224)
+    assert commutant_dimension([jordan]) == 4
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 223)
+    with pytest.raises(BudgetExceededError, match="^commutant at dimension 4 eliminates 14 rows in 16 orbit unknowns"):
+        commutant_dimension([jordan])
 
 
-def _commutant_updates(gens: list[SparseMat]) -> tuple[int, int]:
-    echelon = Echelon()
-    for g in gens:
-        for row in _commutator_rows(g):
-            echelon.add(row)
-    return echelon.rank, echelon.updates
+def test_only_the_distinct_p1_rows_reach_elimination(monkeypatch):
+    fed = []
 
+    def recording(rows):
+        fed.append(list(rows))
+        return rank_of_rows(fed[-1])
 
-def test_b1_first_order_does_less_elimination_work(monkeypatch):
-    for n, k in ((3, 2), (4, 2), (5, 2), (3, 3)):
-        gens = [matrix(d, n) for d in partition_algebra_generators(k)]
-        b1_first = gens[-1:] + gens[:-1]
-        old_rank, old_updates = _commutant_updates(gens)
-        new_rank, new_updates = _commutant_updates(b1_first)
-        assert new_rank == old_rank and new_updates < old_updates, (n, k, new_updates, old_updates)
-        # and it is the order verify_schur_weyl feeds
-        seen = []
-        monkeypatch.setattr(centralizer, "commutant_dimension", lambda g: seen.append(list(g)) or commutant_dimension(g))
+    monkeypatch.setattr(centralizer, "rank_of_rows", recording)
+    for n, k in ((1, 1), (3, 1), (2, 2), (4, 2), (5, 2), (3, 3), (4, 3)):
+        fed.clear()
+        assert commutant_dimension([perm_matrix(s, k) for s in symmetric_group_generators(n)]) == centralizer_dimension(n, k)
+        assert fed == [[]], (n, k)
+        if k > 1:  # s_1, the cycle and b_1 without p_1: orbits, no rows
+            fed.clear()
+            commutant_dimension([matrix(d, n) for d in partition_algebra_generators(k)[1:]])
+            assert fed == [[]], (n, k)
+        fed.clear()
         verify_schur_weyl(n, k)
-        monkeypatch.undo()
-        assert b1_first in seen, (n, k)
+        # fed: the diagram commutant, the diagram span, the commutant of the permutations
+        assert len(fed[0]) == _distinct_p1_orbit_rows(n, k) and fed[2] == [], (n, k)
+
+
+def _distinct_p1_orbit_rows(n: int, k: int) -> int:
+    # The rows of XG - GX for G = p_1, over unknowns keyed by the least image of
+    # the position (a, b) under the place permutations, with the positions
+    # whose tuples differ in their pattern of equal entries set to 0 (b_1),
+    # counted up to a nonzero scalar.
+    tuples = list(product(range(n), repeat=k))
+    places = list(permutations(range(k)))
+
+    def unknown(a, b):
+        if any((a[i] == a[j]) != (b[i] == b[j]) for i in range(k) for j in range(k)):
+            return None
+        return min(tuple(a[p] for p in s) + tuple(b[p] for p in s) for s in places)
+
+    key = {(a, b): unknown(a, b) for a in tuples for b in tuples}
+    p1 = matrix(partition_algebra_generators(k)[0], n)
+    g_rows = {a: [] for a in tuples}
+    g_cols = {a: [] for a in tuples}
+    for r, c, v in p1.triples:
+        g_rows[tuples[r]].append((tuples[c], v))
+        g_cols[tuples[c]].append((tuples[r], v))
+    rows = set()
+    for i in tuples:
+        for l in tuples:
+            row = {}
+            terms = [(key[i, j], v) for j, v in g_cols[l]] + [(key[j, l], -v) for j, v in g_rows[i]]
+            for x, v in terms:
+                if x is not None:
+                    row[x] = row.get(x, 0) + v
+            row = {x: v for x, v in row.items() if v}
+            if row:
+                lead = row[min(row)]
+                rows.add(frozenset((x, v / lead) for x, v in row.items()))
+    return len(rows)
 
 
 def test_echelon_add_reports_independence_and_counts_updates():

@@ -319,7 +319,7 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["norms", "lp", "--k", "4", "--trunc", "300", "--diagram", "1|2|3|4|1'|2'|3'|4'"], 1.0),  # 300^4
         (["verify", "closure", "--k", "5"], 5.0),  # 1496^2 pairs, after enumerating the 1496
         (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
-        (["verify", "schur-weyl", "--n", "5", "--k", "3"], 1.0),  # 62500 commutant rows times 5^2
+        (["verify", "schur-weyl", "--n", "5", "--k", "3"], 1.0),  # 5000 commutant rows in 1025 orbit unknowns: 1025^2
         (["verify", "schur-weyl", "--n", "4", "--k", "4"], 1.0),  # 3188340 diagram-matrix nonzeros
         (["verify", "closure", "--k", "7"], 1.0),  # Bell(14) diagrams, refused before enumerating
         (["verify", "closure", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
