@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .diagram import AlgebraElement, Diagram
 from .rational import frac_str
-from .setpart import SetPartition, bell_number
+from .setpart import SetPartition, bell_number, orbit_partition, refines
 
 __all__ = [
     "BudgetExceededError",
@@ -193,19 +193,10 @@ def unrank_tuple(rank: int, n: int, k: int) -> tuple[int, ...]:
 
 
 def entry(d: Diagram, top: Sequence[int], bottom: Sequence[int]) -> int:
-    """1 when the combined row assignment is constant on every block of d."""
+    """1 when the combined row assignment is constant on every block of d: d refines its orbit type."""
     if len(top) != d.k or len(bottom) != d.k:
         raise ValueError("tuple lengths must equal the diagram's k")
-    vals = list(top) + list(bottom)
-    for v in vals:
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"tuple entries must be positive integers, got {v!r}")
-    for block in d.part.blocks:
-        x = vals[block[0]]
-        for v in block[1:]:
-            if vals[v] != x:
-                return 0
-    return 1
+    return int(refines(d.part, orbit_partition(list(top) + list(bottom))))
 
 
 def _constant_ranks(part: SetPartition, n: int) -> list[int]:

@@ -204,13 +204,10 @@ def count_partitions(ground_size: int, max_blocks: int | None = None) -> int:
 
 def orbit_partition(values: Sequence[int]) -> SetPartition:
     """Group positions carrying equal values: the orbit type of a tuple."""
-    first: dict[int, int] = {}
-    out = []
     for v in values:
         if not isinstance(v, int) or v < 1:
             raise ValueError(f"tuple entries must be positive integers, got {v!r}")
-        out.append(first.setdefault(v, len(first)))
-    return SetPartition(tuple(out))
+    return from_labels(values)
 
 
 def refines(p: SetPartition, q: SetPartition) -> bool:

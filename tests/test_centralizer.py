@@ -311,11 +311,11 @@ def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
     with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(3, 1\\) reaches rank 5 over 9 positions"):
         perm_span_dim(3, 1)
     # the nilpotent 4 x 4 Jordan block: 16 + 2 * 4 * 3 terms pass, then its
-    # 14 distinct rows in 16 unknowns can fill 14 * 16 basis entries
+    # 14 distinct rows in 16 unknowns can fill 14 * 16 - 14 * 13 / 2 basis entries
     jordan = SparseMat(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 224)
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 133)
     assert commutant_dimension([jordan]) == 4
-    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 223)
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 132)
     with pytest.raises(BudgetExceededError, match="^commutant at dimension 4 eliminates 14 rows in 16 orbit unknowns"):
         commutant_dimension([jordan])
 
@@ -385,6 +385,24 @@ def test_echelon_add_reports_independence_and_counts_updates():
     assert not echelon.add({})
     assert echelon.rank == 2 and echelon.updates == 4
     assert echelon.basis == {0: {0: 1, 2: 3}, 1: {1: 1, 2: -6}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 10), data=st.data())
+def test_an_echelon_basis_holds_at_most_its_capacity(width, data):
+    # r distinct pivots, each row starting at its pivot: at most r * u - r * (r - 1) / 2
+    # entries over u unknowns, and r <= min(rows, u) only raises that bound
+    cells = st.one_of(st.integers(-5, 5), RATIONALS)
+    rows = data.draw(st.lists(st.dictionaries(st.integers(0, width - 1), cells), max_size=12))
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+
+    def capacity(r):
+        return r * width - r * (r - 1) // 2
+
+    entries = sum(len(b) for b in echelon.basis.values())
+    assert entries <= capacity(echelon.rank) <= capacity(min(len(rows), width))
 
 
 def test_perm_span_matches_dense_oracle_at_3_1():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import partalg
+from partalg import seqmodel
 from partalg.cli import main, parse
 from partalg.diagram import parse_diagram
 from partalg.setpart import bell_number
@@ -296,6 +297,19 @@ def test_unknown_subcommand_exits_with_usage_code():
     assert exc.value.code == 2
 
 
+def test_classification_verdict_fails_when_the_column_counts_disagree(capsys, monkeypatch):
+    # without the flip the column counts are the row counts: 1,2,1'|2' is
+    # top-propagating but not bottom-propagating, so the third verdict fails
+    monkeypatch.setattr(seqmodel, "flip", lambda d: d)
+    code, out, err = run(capsys, "verify", "classification", "--k", "2")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == [
+        "lp_matches_uniform: yes",
+        "linf_matches_bottom_propagating: yes",
+        "column_finite_matches_top_propagating: no",
+    ]
+
+
 def test_budget_errors_surface_as_runtime_failures(capsys):
     code, _, err = run(capsys, "verify", "schur-weyl", "--n", "8", "--k", "2")
     assert code == 1 and "error:" in err
@@ -319,7 +333,7 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["norms", "lp", "--k", "4", "--trunc", "300", "--diagram", "1|2|3|4|1'|2'|3'|4'"], 1.0),  # 300^4
         (["verify", "closure", "--k", "5"], 5.0),  # 1496^2 pairs, after enumerating the 1496
         (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
-        (["verify", "schur-weyl", "--n", "5", "--k", "3"], 1.0),  # 5000 commutant rows in 1025 orbit unknowns: 1025^2
+        (["verify", "schur-weyl", "--n", "6", "--k", "3"], 1.0),  # permutation span of rank 588 over 17136 positions
         (["verify", "schur-weyl", "--n", "4", "--k", "4"], 1.0),  # 3188340 diagram-matrix nonzeros
         (["verify", "closure", "--k", "7"], 1.0),  # Bell(14) diagrams, refused before enumerating
         (["verify", "closure", "--k", "2000"], 1.0),  # at least 2^3999 diagrams

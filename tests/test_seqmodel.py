@@ -165,12 +165,6 @@ def test_column_finiteness_classifier_agrees_with_top_propagation():
         assert classify_column_finite(d) == is_top_propagating(d)
 
 
-def test_column_finiteness_raises_when_the_counts_disagree_with_the_blocks(monkeypatch):
-    monkeypatch.setattr(seqmodel, "is_top_propagating", lambda d: not is_top_propagating(d))
-    with pytest.raises(RuntimeError, match="disagrees with the block criterion"):
-        classify_column_finite(parse_diagram("1|1'"))
-
-
 def test_sup_norm_counts_the_rows_and_the_flip_counts_the_columns():
     cases = 0
     for k in (1, 2, 3):
