@@ -11,14 +11,16 @@ throughout, so no `Fraction` is built on that path.
 A commutant eliminates only the rows of its generators that are neither
 permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`).
 
-There are no size caps.  Each layer estimates its work as one integer
+There are no size caps.  Each layer estimates its cost as one integer
 before it starts and passes it to `rep.check_budget`, so a size that
-cannot finish fails at once with `BudgetExceededError`.
+cannot finish fails at once with `BudgetExceededError`.  Most estimates
+count work; the commutant's second check bounds the entries its echelon
+basis can hold, not the elimination steps, which can exceed it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -321,7 +323,7 @@ def perm_span_dim(n: int, k: int) -> int:
     rank = perm_span_expected(n, k)
     check_budget(rank * positions, f"permutation span at (n, k) = ({n}, {k}) reaches rank {rank} over {positions} positions")
     dim = n**k
-    gens = [[c for _, c, _ in perm_matrix(s, k).triples] for s in symmetric_group_generators(n)]
+    gens = [_permutation(perm_matrix(s, k)) for s in symmetric_group_generators(n)]
     identity = list(range(dim))
     span = Echelon()
     span.add({r * dim + r: 1 for r in identity})
@@ -401,14 +403,9 @@ class VerificationReport:
         return self.commutant_of_diagrams_dim == self.perm_span_dim == self.perm_span_expected
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "centralizer_dim": self.centralizer_dim,
-            "diagram_span_rank": self.diagram_span_rank,
-            "commutant_of_perms_dim": self.commutant_of_perms_dim,
-            "perm_span_dim": self.perm_span_dim,
-            "commutant_of_diagrams_dim": self.commutant_of_diagrams_dim,
+        # the closed form is printed only through the double-commutant verdict
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "perm_span_expected"}
+        return doc | {
             "surjectivity_verdict": self.surjectivity_verdict,
             "double_commutant_verdict": self.double_commutant_verdict,
         }

@@ -267,9 +267,8 @@ def _run_inv_vector(pi, n):
 
 
 def _run_inv_act(d, pi, n):
-    coeffs = seqmodel.act_on_invariants(d, pi, n)
-    taus = sorted(coeffs, key=lambda p: p.rgs)
-    return [{"tau": tau.to_text(), "coeff": rational.frac_str(coeffs[tau])} for tau in taus], 0
+    terms = seqmodel.act_on_invariants(d, pi, n).items()
+    return [{"tau": tau.to_text(), "coeff": rational.frac_str(c)} for tau, c in terms], 0
 
 
 # Plain-text formatters -----------------------------------------------------

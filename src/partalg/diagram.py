@@ -96,8 +96,6 @@ def parse_diagram(text: str, k: int | None = None) -> Diagram:
 
 def identity(k: int) -> Diagram:
     """The diagram joining each top vertex to the bottom vertex below it."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
     return Diagram(k, SetPartition(tuple(range(k)) * 2))
 
 
@@ -111,7 +109,7 @@ def partition_algebra_generators(k: int) -> list[Diagram]:
     four diagrams: p_1, s_1, the cycle and b_1 = p_{3/2}.  At k = 2 the cycle
     is s_1, and at k = 1 only p_1 remains.
     """
-    if k < 1:
+    if k < 1:  # at k < 0 the p_1 labels below are refused by SetPartition before Diagram sees k
         raise ValueError("k must be a positive integer")
     top = tuple(range(k))
     gens = [Diagram(k, SetPartition(top + (k,) + top[1:]))]  # p_1
@@ -218,7 +216,7 @@ class Poly:
 
     @classmethod
     def of(cls, *coeffs) -> "Poly":
-        return cls(tuple(Fraction(c) for c in coeffs))
+        return cls(coeffs)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -331,8 +329,7 @@ class AlgebraElement:
 
     @classmethod
     def from_diagram(cls, d: Diagram, coeff: Poly | int | Fraction = 1) -> "AlgebraElement":
-        c = coeff if isinstance(coeff, Poly) else Poly.of(coeff)
-        return cls(d.k, {d: c})
+        return cls(d.k, {d: coeff})
 
     @classmethod
     def identity(cls, k: int) -> "AlgebraElement":
@@ -356,10 +353,7 @@ class AlgebraElement:
         return AlgebraElement(self.k, [*self._terms.items(), *other._terms.items()])
 
     def __rmul__(self, scalar) -> "AlgebraElement":
-        if isinstance(scalar, Poly):
-            return AlgebraElement(self.k, {d: scalar * c for d, c in self._terms.items()})
-        s = Fraction(scalar)
-        return AlgebraElement(self.k, {d: s * c for d, c in self._terms.items()})
+        return AlgebraElement(self.k, {d: scalar * c for d, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):

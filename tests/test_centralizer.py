@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, prod
@@ -510,3 +511,6 @@ def test_report_json_document():
         "surjectivity_verdict": True,
         "double_commutant_verdict": True,
     }
+    # printed in the declared field order, the closed form left out, then the verdicts
+    declared = [f.name for f in fields(VerificationReport) if f.name != "perm_span_expected"]
+    assert list(doc) == declared + ["surjectivity_verdict", "double_commutant_verdict"]

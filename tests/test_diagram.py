@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -104,6 +105,9 @@ def test_identity_diagram():
     assert identity(3).part.rgs == (0, 1, 2, 0, 1, 2)
     assert is_uniform(identity(4))
     assert is_top_propagating(identity(4)) and is_bottom_propagating(identity(4))
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            identity(k)
 
 
 def test_concat_golden_product():
@@ -153,8 +157,27 @@ def test_generators_edge_sizes():
         "1,2,1',2'",
     ]
     for k in (0, -1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
             partition_algebra_generators(k)
+
+
+def test_scalar_times_element_is_termwise():
+    d1, d2 = D2[0], D2[1]
+    e = AlgebraElement(2, {d1: Poly.of(1, 2), d2: Poly.of(3)})
+    half = {d1: Poly.of(Fraction(1, 2), 1), d2: Poly.of(Fraction(3, 2))}
+    expected = [
+        (2, {d1: Poly.of(2, 4), d2: Poly.of(6)}),
+        (Fraction(1, 2), half),
+        ("1/2", half),
+        (Poly.of(0, 1), {d1: Poly.of(0, 1, 2), d2: Poly.of(0, 3)}),
+    ]
+    for s, terms in expected:
+        assert s * e == AlgebraElement(2, terms)
+
+
+def test_from_diagram_with_zero_coefficient_is_zero():
+    assert AlgebraElement.from_diagram(D2[0], 0).is_zero()
+    assert AlgebraElement.from_diagram(D2[0], Poly.zero()).is_zero()
 
 
 def test_concat_singleton_strand_swallows_a_component():
