@@ -9,7 +9,8 @@ permutation matrix is, become plain ints when a row is read and stay ints
 throughout, so no `Fraction` is built on that path.
 
 A commutant eliminates only the rows of its generators that are neither
-permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`).
+permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`);
+a span eliminates one row per matrix, in column classes (`span_rank`).
 
 There are no size caps.  Each layer estimates its cost as one integer
 before it starts and passes it to `rep.check_budget`, so a size that
@@ -134,28 +135,38 @@ def rank_of_rows(rows: Iterable[Mapping[int, object]]) -> int:
     return echelon.rank
 
 
-def _vectorize(m: SparseMat) -> dict[int, int | Fraction]:
-    """The matrix as one row, entry (r, c) at r * dim + c; integral entries as ints."""
-    dim = m.dim
-    return {r * dim + c: v.numerator if v.denominator == 1 else v for r, c, v in m.triples}
-
-
 def span_rank(mats: Sequence[SparseMat]) -> int:
     """Dimension of the linear span of the given matrices.
 
-    The work is estimated as the total number of nonzeros, the entries the
-    rows bring to the elimination.
+    Positions where every matrix has the same entry are equal columns of the
+    stacked rows, so they share one column class (for diagram matrices an
+    S_n-orbit, one set partition of the 2k vertices into at most n blocks).
+    Each matrix is one row over the classes, added until the rank reaches
+    the class count.  The work is estimated as the total number of nonzeros.
     """
     mats = list(mats)
     if not mats:
         return 0
     dim = mats[0].dim
-    for m in mats:
-        if m.dim != dim:
-            raise ValueError("matrices must share one dimension")
+    if any(m.dim != dim for m in mats):
+        raise ValueError("matrices must share one dimension")
     nnz = sum(m.nnz for m in mats)
     check_budget(nnz, f"span rank of {len(mats)} matrices with {nnz} nonzeros")
-    return rank_of_rows(_vectorize(m) for m in mats)
+    label: dict[int, int] = {}  # position -> class; class 0, the default, is zero in every matrix so far
+    count = 1
+    for m in mats:
+        fresh: dict[tuple, int] = {}  # (old class, entry) -> new class, keyed by ints: Fraction.__hash__ is slow
+        for r, c, v in m.triples:
+            p = r * dim + c
+            label[p] = fresh.setdefault((label.get(p, 0), v.numerator, v.denominator), count + len(fresh))
+        count += len(fresh)
+    width = len(set(label.values()))
+    echelon = Echelon()
+    for m in mats:
+        if echelon.rank == width:
+            break
+        echelon.add({label[r * dim + c]: v for r, c, v in m.triples})
+    return echelon.rank
 
 
 def commutant_dimension(generators: Sequence[SparseMat]) -> int:
@@ -414,16 +425,17 @@ class VerificationReport:
 def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     """Machine-check both centralizer statements at one finite size.
 
-    The diagram span rank uses every diagram matrix, since the first
-    statement is about the whole span.  The commutant of the diagrams uses
+    The diagram span rank uses every diagram matrix, since the first statement
+    is about the whole span; `span_rank` reads each as one row over its column
+    classes, the S_n-orbits of positions.  The commutant of the diagrams uses
     only the matrices of `partition_algebra_generators(k)`: matrix(d1) @
-    matrix(d2) = n^m * matrix(d1 o d2) with n >= 1, so those matrices and
-    the identity generate the diagram span as an algebra, and both have the
-    same commutant at every n.  There s_1 and the long cycle give orbits,
-    the diagonal b_1 kills the orbits whose tuples differ in their pattern
-    of equal entries, and only the rows of p_1 are eliminated; the
-    commutant of the symmetric group is an orbit count.  The double-commutant
-    verdict also compares both computed ranks with `perm_span_expected`.
+    matrix(d2) = n^m * matrix(d1 o d2) with n >= 1, so those matrices and the
+    identity generate the diagram span as an algebra, and both have the same
+    commutant at every n.  There s_1 and the long cycle give orbits, the
+    diagonal b_1 kills the orbits whose tuples differ in their pattern of equal
+    entries, and only the rows of p_1 are eliminated; the commutant of the
+    symmetric group is an orbit count.  The double-commutant verdict also
+    compares both computed ranks with `perm_span_expected`.
 
     Each layer checks its work estimate before it starts.  The layers run
     in the order that lets a size over the budget fail before any long

@@ -17,7 +17,6 @@ from partalg.centralizer import (
     VerificationReport,
     _integer_row,
     _permutation,
-    _vectorize,
     centralizer_dimension,
     commutant_dimension,
     perm_span_dim,
@@ -133,10 +132,45 @@ def test_span_rank_of_diagram_matrices():
         span_rank([SparseMat.identity(1024)] * 1025)  # 1025 * 1024 nonzeros
 
 
-def test_vectorize_reads_integral_entries_as_ints():
-    m = SparseMat(2, [(0, 1, 3), (1, 0, Fraction(1, 2))])
-    assert _vectorize(m) == {1: 3, 2: Fraction(1, 2)} and type(_vectorize(m)[1]) is int
-    assert all(type(v) is int for v in _vectorize(matrix(next(enumerate_diagrams(2)), 3)).values())
+def test_span_rank_mixes_integral_and_fraction_entries():
+    half = Fraction(1, 2)
+    a = SparseMat(2, [(0, 1, 3), (1, 0, half)])
+    b = SparseMat(2, [(0, 1, 6), (1, 0, 1)])  # 2a
+    c = SparseMat(2, [(0, 1, 3), (1, 0, 1)])  # same support as a, other values
+    assert span_rank([a, b]) == 1
+    assert span_rank([a, c]) == span_rank([a, b, c]) == 2
+    assert span_rank([a, c, SparseMat(2, [(0, 1, half), (1, 0, half), (1, 1, 2)])]) == 3
+
+
+ENTRIES = st.sampled_from([-2, -1, Fraction(1, 2), 1, 3])
+
+
+@st.composite
+def _matrix_families(draw):
+    dim = draw(st.integers(1, 3))
+    cells = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), ENTRIES)
+    mats = [SparseMat(dim, draw(st.lists(cells, max_size=dim * dim))) for _ in range(draw(st.integers(1, 4)))]
+    # a repeated matrix, and one on the same support with its values redrawn
+    mats.append(draw(st.sampled_from(mats)))
+    m = draw(st.sampled_from(mats))
+    mats.append(SparseMat(dim, [(r, c, draw(ENTRIES)) for r, c, _ in m.triples]))
+    return draw(st.permutations(mats))
+
+
+@settings(max_examples=80, deadline=None)
+@given(mats=_matrix_families())
+def test_span_rank_matches_dense_gauss_on_the_vectorized_matrices(mats):
+    dim = mats[0].dim
+    rows = [{r * dim + c: v for r, c, v in m.triples} for m in mats]
+    assert span_rank(mats) == _dense_rank(rows, dim * dim)
+
+
+def test_span_rank_stops_at_the_class_count(monkeypatch):
+    adds = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add", lambda self, row: adds.append(row) or add(self, row))
+    assert span_rank([SparseMat.identity(3)] * 40) == 1
+    assert len(adds) == 1
 
 
 def _commutator_rows(g: SparseMat):
@@ -339,8 +373,9 @@ def test_only_the_distinct_p1_rows_reach_elimination(monkeypatch):
             assert fed == [[]], (n, k)
         fed.clear()
         verify_schur_weyl(n, k)
-        # fed: the diagram commutant, the diagram span, the commutant of the permutations
-        assert len(fed[0]) == _distinct_p1_orbit_rows(n, k) and fed[2] == [], (n, k)
+        # fed: the diagram commutant, then the commutant of the permutations;
+        # the diagram span eliminates in its own Echelon
+        assert len(fed[0]) == _distinct_p1_orbit_rows(n, k) and len(fed) == 2 and fed[1] == [], (n, k)
 
 
 def _distinct_p1_orbit_rows(n: int, k: int) -> int:
