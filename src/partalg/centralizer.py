@@ -196,9 +196,8 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
     if not gens:
         raise ValueError("at least one generator is required")
     dim = gens[0].dim
-    for g in gens:
-        if g.dim != dim:
-            raise ValueError("generators must share one dimension")
+    if any(g.dim != dim for g in gens):
+        raise ValueError("generators must share one dimension")
     perms, diagonals, others = [], [], []
     for g in gens:
         if all(r == c for r, c, _ in g.triples):
@@ -305,11 +304,8 @@ def symmetric_group_generators(n: int) -> list[PermWord]:
         raise ValueError("n must be a positive integer")
     if n == 1:
         return [PermWord.identity(1)]
-    gens = [PermWord.transposition(n, 1, 2)]
-    cyc = PermWord.cycle(n)
-    if cyc not in gens:
-        gens.append(cyc)
-    return gens
+    gens = [PermWord.transposition(n, 1, 2), PermWord.cycle(n)]
+    return gens[:1] if n == 2 else gens  # at n = 2 the long cycle is s_1
 
 
 def perm_span_dim(n: int, k: int) -> int:
@@ -425,33 +421,37 @@ class VerificationReport:
 def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     """Machine-check both centralizer statements at one finite size.
 
-    The diagram span rank uses every diagram matrix, since the first statement
-    is about the whole span; `span_rank` reads each as one row over its column
-    classes, the S_n-orbits of positions.  The commutant of the diagrams uses
-    only the matrices of `partition_algebra_generators(k)`: matrix(d1) @
-    matrix(d2) = n^m * matrix(d1 o d2) with n >= 1, so those matrices and the
-    identity generate the diagram span as an algebra, and both have the same
-    commutant at every n.  There s_1 and the long cycle give orbits, the
-    diagonal b_1 kills the orbits whose tuples differ in their pattern of equal
-    entries, and only the rows of p_1 are eliminated; the commutant of the
-    symmetric group is an orbit count.  The double-commutant verdict also
-    compares both computed ranks with `perm_span_expected`.
+    The diagram span rank reads only the diagrams with at most n blocks, a
+    basis of the span: in the orbit basis of Halverson and Ram, d is the sum of
+    x_pi over its coarsenings pi, x_pi = 0 exactly when pi has more than n
+    blocks, and no coarsening has more blocks than d, so the change of basis is
+    unitriangular.  span(basis) lies in span(all diagram matrices), which lies
+    in End_{S_n}, so a rank equal to `centralizer_dimension` proves the first
+    statement.  `span_rank` reads each matrix as one row over the S_n-orbits of
+    positions.  The commutant of the diagrams uses only the matrices of
+    `partition_algebra_generators(k)`: matrix(d1) @ matrix(d2) = n^m *
+    matrix(d1 o d2) with n >= 1, so those matrices and the identity generate
+    the diagram span as an algebra, and both have the same commutant at every
+    n.  There s_1 and the long cycle give orbits, the diagonal b_1 kills the
+    orbits whose tuples differ in their pattern of equal entries, and only the
+    rows of p_1 are eliminated; the commutant of the symmetric group is an
+    orbit count.  The double-commutant verdict also compares both computed ranks
+    with `perm_span_expected`.
 
-    Each layer checks its work estimate before it starts.  The layers run
-    in the order that lets a size over the budget fail before any long
-    elimination: first the diagram matrices' nonzeros, then the permutation
-    span and the commutant of the diagrams.  `check_diagram_count` runs
-    first, so a huge k is refused before the Stirling row of the exact
-    nonzero count is built.
+    Each layer checks its work estimate before it starts, in the order that
+    lets a size over the budget fail before any long elimination: first
+    `check_diagram_count`, since the walk visits all Bell(2k) diagrams and a
+    huge k must be refused before any Stirling row is built, then the basis
+    matrices' nonzeros, the permutation span and the commutant of the diagrams.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     check_diagram_count("schur-weyl verification", k)
-    nnz = sum(s * n**b for b, s in enumerate(_stirling_row(2 * k, 2 * k)))
-    check_budget(nnz, f"the diagram matrices at (n, k) = ({n}, {k}) have sum_b S({2 * k}, b) {n}^b nonzeros")
+    nnz = sum(s * n**b for b, s in enumerate(_stirling_row(2 * k, n)))
+    check_budget(nnz, f"the basis diagrams at (n, k) = ({n}, {k}) have sum_(b <= {n}) S({2 * k}, b) {n}^b nonzeros")
     perm_span = perm_span_dim(n, k)
     commutant_of_diagrams = commutant_dimension([matrix(d, n) for d in partition_algebra_generators(k)])
-    diagram_span = span_rank([matrix(d, n) for d in enumerate_diagrams(k)])
+    diagram_span = span_rank([matrix(d, n) for d in enumerate_diagrams(k) if d.part.num_blocks <= n])
     perm_gens = [perm_matrix(s, k) for s in symmetric_group_generators(n)]
     return VerificationReport(
         n=n,

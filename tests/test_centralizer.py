@@ -132,6 +132,32 @@ def test_span_rank_of_diagram_matrices():
         span_rank([SparseMat.identity(1024)] * 1025)  # 1025 * 1024 nonzeros
 
 
+def test_diagrams_with_at_most_n_blocks_are_a_basis_of_the_span():
+    # d is the sum of the orbit basis elements x_pi over its coarsenings pi,
+    # and x_pi = 0 exactly when pi has more than n blocks
+    for k in (1, 2, 3):
+        diagrams = list(enumerate_diagrams(k))
+        for n in range(1, 5):
+            basis = [matrix(d, n) for d in diagrams if d.part.num_blocks <= n]
+            rank = span_rank(basis)
+            assert rank == len(basis) == centralizer_dimension(n, k), (n, k)
+            assert rank == span_rank([matrix(d, n) for d in diagrams]), (n, k)
+
+
+def test_verify_schur_weyl_spans_only_the_basis(monkeypatch):
+    sizes = []
+
+    def recording(mats):
+        mats = list(mats)
+        sizes.append(len(mats))
+        return span_rank(mats)
+
+    monkeypatch.setattr(centralizer, "span_rank", recording)
+    rep = verify_schur_weyl(2, 3)
+    assert sizes == [32]  # S(6, 1) + S(6, 2) of the 203 = Bell(6) diagrams
+    assert rep.diagram_span_rank == rep.centralizer_dim == 32
+
+
 def test_span_rank_mixes_integral_and_fraction_entries():
     half = Fraction(1, 2)
     a = SparseMat(2, [(0, 1, 3), (1, 0, half)])
@@ -517,7 +543,9 @@ def test_double_commutant_verdict_needs_the_closed_form():
     assert not VerificationReport(**fields).double_commutant_verdict
 
 
-@pytest.mark.parametrize("n, k, centralizer_dim, perm_span", [(3, 3, 122, 6), (6, 2, 15, 207)])
+@pytest.mark.parametrize(
+    "n, k, centralizer_dim, perm_span", [(3, 3, 122, 6), (6, 2, 15, 207), (4, 4, 2795, 24), (2, 5, 512, 2)]
+)
 def test_verify_schur_weyl_past_5_2(n, k, centralizer_dim, perm_span):
     rep = verify_schur_weyl(n, k)
     assert rep.centralizer_dim == rep.diagram_span_rank == rep.commutant_of_perms_dim == centralizer_dim
@@ -526,8 +554,9 @@ def test_verify_schur_weyl_past_5_2(n, k, centralizer_dim, perm_span):
 
 
 def test_verify_schur_weyl_below_stable_range_still_consistent():
-    # n < 2k: diagram matrices become linearly dependent but the
-    # centralizer equalities continue to hold
+    # n < 2k: the 15 diagram matrices are dependent (see
+    # test_span_rank_of_diagram_matrices); the rank 8 comes from the 8
+    # diagrams with at most 2 blocks, and the centralizer equalities hold
     rep = verify_schur_weyl(2, 2)
     assert rep.diagram_span_rank < 15
     assert rep.surjectivity_verdict

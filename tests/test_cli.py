@@ -334,7 +334,7 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["verify", "closure", "--k", "5"], 5.0),  # 1496^2 pairs, after enumerating the 1496
         (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
         (["verify", "schur-weyl", "--n", "6", "--k", "3"], 1.0),  # permutation span of rank 588 over 17136 positions
-        (["verify", "schur-weyl", "--n", "4", "--k", "4"], 1.0),  # 3188340 diagram-matrix nonzeros
+        (["verify", "schur-weyl", "--n", "5", "--k", "4"], 1.0),  # sum_(b <= 5) S(8, b) 5^b = 4468305 basis nonzeros
         (["verify", "closure", "--k", "7"], 1.0),  # Bell(14) diagrams, refused before enumerating
         (["verify", "closure", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
         (["verify", "schur-weyl", "--n", "2", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
