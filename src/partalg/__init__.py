@@ -20,6 +20,7 @@ from .diagram import (
     Diagram,
     Poly,
     RectDiagram,
+    closed_under_product,
     concat,
     enumerate_diagrams,
     flip,

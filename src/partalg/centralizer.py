@@ -421,7 +421,7 @@ class VerificationReport:
 def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     """Machine-check both centralizer statements at one finite size.
 
-    The diagram span rank reads only the diagrams with at most n blocks, a
+    The diagram span rank walks only the diagrams with at most n blocks, a
     basis of the span: in the orbit basis of Halverson and Ram, d is the sum of
     x_pi over its coarsenings pi, x_pi = 0 exactly when pi has more than n
     blocks, and no coarsening has more blocks than d, so the change of basis is
@@ -440,9 +440,10 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
 
     Each layer checks its work estimate before it starts, in the order that
     lets a size over the budget fail before any long elimination: first
-    `check_diagram_count`, since the walk visits all Bell(2k) diagrams and a
-    huge k must be refused before any Stirling row is built, then the basis
-    matrices' nonzeros, the permutation span and the commutant of the diagrams.
+    `check_diagram_count`, whose Bell(2k) bounds the walk over the diagrams
+    with at most n blocks from above and refuses a huge k before any Stirling
+    row is built, then the basis matrices' nonzeros, the permutation span and
+    the commutant of the diagrams.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
@@ -451,7 +452,7 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
     check_budget(nnz, f"the basis diagrams at (n, k) = ({n}, {k}) have sum_(b <= {n}) S({2 * k}, b) {n}^b nonzeros")
     perm_span = perm_span_dim(n, k)
     commutant_of_diagrams = commutant_dimension([matrix(d, n) for d in partition_algebra_generators(k)])
-    diagram_span = span_rank([matrix(d, n) for d in enumerate_diagrams(k) if d.part.num_blocks <= n])
+    diagram_span = span_rank([matrix(d, n) for d in enumerate_diagrams(k, max_blocks=n)])
     perm_gens = [perm_matrix(s, k) for s in symmetric_group_generators(n)]
     return VerificationReport(
         n=n,

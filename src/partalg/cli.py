@@ -21,7 +21,6 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Iterable, NamedTuple
 
 from . import centralizer, diagram, rational, rep, seqmodel, setpart
@@ -232,13 +231,12 @@ def _run_enumerate(k, subset):
 
 def _run_closure(k):
     rep.check_diagram_count("closure", k)
-    doc: dict = {"k": k}
-    for subset in ("uniform", "top", "bottom"):
-        members = set(diagram.enumerate_diagrams(k, subset))
-        m = len(members)
-        rep.check_budget(m * m, f"closure of the {m} {subset} diagrams at k = {k} takes {m}^2 products")
-        products = (diagram.concat(a, b) for a, b in product(members, repeat=2))
-        doc[subset] = all(middles == 0 and d in members for d, middles in products)
+    families: dict[str, set] = {subset: set() for subset in diagram._SUBSET_PREDICATES}
+    for d in diagram.enumerate_diagrams(k):
+        for subset, pred in diagram._SUBSET_PREDICATES.items():
+            if pred(d):
+                families[subset].add(d)
+    doc: dict = {"k": k} | {subset: diagram.closed_under_product(members) for subset, members in families.items()}
     return [doc], 0 if doc["uniform"] and doc["top"] and doc["bottom"] else 1
 
 

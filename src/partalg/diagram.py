@@ -33,6 +33,7 @@ __all__ = [
     "is_top_propagating",
     "is_bottom_propagating",
     "enumerate_diagrams",
+    "closed_under_product",
     "parse_diagram",
     "parse_rect_diagram",
     "rect_compose",
@@ -146,15 +147,66 @@ _SUBSET_PREDICATES = {
 }
 
 
-def enumerate_diagrams(k: int, subset: str | None = None) -> Iterator[Diagram]:
-    """All k-strand diagrams in lexicographic RGS order, optionally filtered."""
+def enumerate_diagrams(k: int, subset: str | None = None, max_blocks: int | None = None) -> Iterator[Diagram]:
+    """All k-strand diagrams in lexicographic RGS order, optionally filtered.
+
+    With max_blocks only the diagrams with at most that many blocks are
+    walked, in the same order.
+    """
     if subset is not None and subset not in _SUBSET_PREDICATES:
         raise ValueError(f"unknown diagram subset {subset!r}")
     pred = _SUBSET_PREDICATES.get(subset)
-    for p in setpart.enumerate_partitions(2 * k):
+    for p in setpart.enumerate_partitions(2 * k, max_blocks):
         d = Diagram(k, p)
         if pred is None or pred(d):
             yield d
+
+
+def closed_under_product(family: Iterable[Diagram]) -> bool:
+    """Every product of two members is a member and swallows no middle component.
+
+    The check closes a generating set G instead of forming all m^2 products
+    of the m members.  Members are visited by propagating blocks, then by
+    block count, both descending, and one joins G only when the semigroup S
+    generated so far does not reach it.  Each element of S is multiplied on
+    the right by each generator; a product with a middle component or outside
+    the family is a failing pair of members, so the answer is False at once.
+    Otherwise S is the whole family.  The middle counts satisfy
+    mid(a, b) + mid(ab, c) = mid(b, c) + mid(a, bc), since both sides count
+    the components swallowed by stacking a, b and c.  For b = b'g with g in
+    G this gives mid(a, b) = mid(a, b') + mid(ab', g) - mid(b', g), where
+    mid(ab', g) = mid(b', g) = 0 because ab' and b' lie in S; by induction on
+    the word length of b, mid(a, b) = 0 and ab lies in S for all a, b in the
+    family.  At most m·|G| products are formed, and m·|G| is checked against
+    the budget each time a generator is added.
+    """
+    from .rep import check_budget  # rep imports this module
+
+    def visit_order(d: Diagram) -> tuple:
+        return -sum(1 for tops, bots in d.block_rows if tops and bots), -d.part.num_blocks, d.sort_key()
+
+    members = set(family)
+    m = len(members)
+    gens: list[Diagram] = []
+    elements: list[Diagram] = []  # S in the order reached
+    done: dict[Diagram, int] = {}  # x in S has been multiplied by gens[:done[x]]
+    for g in sorted(members, key=visit_order):
+        if g in done:
+            continue
+        gens.append(g)
+        check_budget(m * len(gens), f"closure of {m} diagrams from {len(gens)} generators forms up to {m * len(gens)} products")
+        done[g] = 0
+        elements.append(g)
+        for x in elements:  # also visits the elements appended on the way
+            for h in gens[done[x]:]:
+                d, middles = concat(x, h)
+                if middles or d not in members:
+                    return False
+                if d not in done:
+                    done[d] = 0
+                    elements.append(d)
+            done[x] = len(gens)
+    return True
 
 
 def flip(d: Diagram) -> Diagram:

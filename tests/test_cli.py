@@ -186,6 +186,10 @@ def test_verify_closure_and_classification(capsys):
     assert code == 0
     assert json_lines(out) == [{"k": 2, "uniform": True, "top": True, "bottom": True}]
 
+    # the three families at k = 4 hold 131, 855 and 855 diagrams; each closes from at most 6 generators
+    code, out, _ = run(capsys, "verify", "closure", "--k", "4")
+    assert (code, out) == (0, "uniform: closed\ntop: closed\nbottom: closed\n")
+
     code, out, _ = run(capsys, "verify", "classification", "--k", "2", "--json")
     assert code == 0
     assert json_lines(out) == [
@@ -331,7 +335,7 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
     [
         (["invariants", "vector", "--n", "30", "--pi", "1|2|3|4|5|6"], 1.0),  # 30^6 tuples
         (["norms", "lp", "--k", "4", "--trunc", "300", "--diagram", "1|2|3|4|1'|2'|3'|4'"], 1.0),  # 300^4
-        (["verify", "closure", "--k", "5"], 5.0),  # 1496^2 pairs, after enumerating the 1496
+        (["verify", "closure", "--k", "6"], 1.0),  # Bell(12) diagrams, refused before enumerating
         (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
         (["verify", "schur-weyl", "--n", "6", "--k", "3"], 1.0),  # permutation span of rank 588 over 17136 positions
         (["verify", "schur-weyl", "--n", "5", "--k", "4"], 1.0),  # sum_(b <= 5) S(8, b) 5^b = 4468305 basis nonzeros

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partalg import diagram, rep
 from partalg.diagram import (
     AlgebraElement,
     Diagram,
     Poly,
     RectDiagram,
+    closed_under_product,
     concat,
     enumerate_diagrams,
     flip,
@@ -338,6 +340,76 @@ def test_subalgebras_closed_without_middle_components():
                 d, middles = concat(d1, d2)
                 assert middles == 0
                 assert pred(d)
+
+
+def _closed_by_all_pairs(family) -> bool:
+    # the m^2 products that closed_under_product replaces: the test oracle
+    members = set(family)
+    return all(middles == 0 and d in members for d, middles in (concat(a, b) for a, b in product(members, repeat=2)))
+
+
+FAMILIES = {k: {s: list(enumerate_diagrams(k, s)) for s in ("uniform", "top", "bottom")} for k in (1, 2, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_closure_from_generators_matches_the_all_pairs_oracle_on_random_subsets(data):
+    # subsets of all of P_k are mostly not closed; subsets of a family mostly miss a product
+    k = data.draw(st.sampled_from([2, 3]))
+    pool = data.draw(st.sampled_from([D2 if k == 2 else D3, *FAMILIES[k].values()]))
+    family = data.draw(st.sets(st.sampled_from(pool), max_size=24))
+    assert closed_under_product(family) == _closed_by_all_pairs(family)
+
+
+def test_closure_from_generators_matches_the_all_pairs_oracle_on_whole_families():
+    for k in (1, 2, 3):
+        for members in FAMILIES[k].values():
+            assert closed_under_product(members) and _closed_by_all_pairs(members)
+    # all of P_k is closed as a set, but its products swallow middle components
+    for pool in (D2, D3):
+        assert not closed_under_product(pool) and not _closed_by_all_pairs(pool)
+    # one middle-free product lands outside: s_1 squared is the identity
+    s_1 = parse_diagram("1,2'|2,1'")
+    assert not closed_under_product([s_1]) and closed_under_product([s_1, identity(2)])
+    assert closed_under_product([])
+
+
+def test_closure_forms_m_times_the_generators_products_not_m_squared(monkeypatch):
+    calls = []
+    monkeypatch.setattr(diagram, "concat", lambda a, b: calls.append(1) or concat(a, b))
+    for k in (3, 4):
+        for subset in ("uniform", "top", "bottom"):
+            members = list(enumerate_diagrams(k, subset))
+            calls.clear()
+            assert closed_under_product(members)
+            assert len(calls) <= 6 * len(members)  # at most 6 generators; m^2 would be 52^2 at k = 3
+
+
+def test_closure_checks_the_budget_each_time_a_generator_is_added(monkeypatch):
+    top = FAMILIES[3]["top"]
+    monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 2 * len(top))
+    with pytest.raises(rep.BudgetExceededError) as refused:
+        closed_under_product(top)
+    assert str(refused.value) == "closure of 52 diagrams from 3 generators forms up to 156 products, over the limit 104"
+
+
+def test_middle_counts_satisfy_mid_ab_plus_mid_ab_c_equals_mid_bc_plus_mid_a_bc():
+    rng = random.Random(16)
+    triples = [*product(D2, repeat=3), *(tuple(rng.choice(D3) for _ in range(3)) for _ in range(2000))]
+    for a, b, c in triples:
+        ab, mid_ab = concat(a, b)
+        bc, mid_bc = concat(b, c)
+        ab_c, mid_ab_c = concat(ab, c)
+        a_bc, mid_a_bc = concat(a, bc)
+        assert ab_c == a_bc and mid_ab + mid_ab_c == mid_bc + mid_a_bc
+
+
+def test_enumerate_with_max_blocks_keeps_the_order_of_the_full_walk():
+    for k in (1, 2, 3):
+        for subset in (None, "uniform", "top", "bottom"):
+            full = list(enumerate_diagrams(k, subset))
+            for b in range(1, 2 * k + 1):
+                assert list(enumerate_diagrams(k, subset, max_blocks=b)) == [d for d in full if d.part.num_blocks <= b]
 
 
 def test_poly_arithmetic():
