@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations, product
@@ -338,10 +339,10 @@ def test_perm_span_dimensions():
     assert perm_span_dim(4, 2) == 23
     assert perm_span_dim(6, 1) == 26
     assert perm_span_dim(2, 3) == 2
-    with pytest.raises(BudgetExceededError):
-        perm_span_dim(8, 2)  # rank 891 over 3200 positions
-    with pytest.raises(BudgetExceededError):
-        perm_span_dim(6, 3)  # rank 588 over 17136 positions
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(1100, 2\\) permutes 1100\\^2 tuples"):
+        perm_span_dim(1100, 2)  # 1100^2 rows per permutation matrix, refused before any is built
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(ValueError):
         perm_span_dim(0, 1)
 
@@ -368,25 +369,46 @@ def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
     assert commutant_dimension([SparseMat(2, [(0, 1, 1)])]) == 2  # 2^2 positions and 2 * 2 * 1 terms
     with pytest.raises(BudgetExceededError, match="^commutant at dimension 2 labels 4 positions and reads 16 terms"):
         commutant_dimension([SparseMat(2, [(0, 0, 1), (0, 1, 1)])] * 2)
-    assert perm_span_dim(2, 2) == 2  # rank 2 over 2^2 + 2^2 positions
-    with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(3, 1\\) reaches rank 5 over 9 positions"):
-        perm_span_dim(3, 1)
-    # the nilpotent 4 x 4 Jordan block: 16 + 2 * 4 * 3 terms pass, then its
-    # 14 distinct rows in 16 unknowns can fill 14 * 16 - 14 * 13 / 2 basis entries
+    assert perm_span_dim(2, 2) == 2  # 2^2 tuples
+    with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(5, 2\\) permutes 5\\^2 tuples, over the limit 16$"):
+        perm_span_dim(5, 2)
+    # the nilpotent 4 x 4 Jordan block: 16 positions and 2 * 4 * 3 terms, then
+    # its 14 distinct rows take 31 updates, under the meter's 16 * 40
     jordan = SparseMat(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 133)
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 40)
     assert commutant_dimension([jordan]) == 4
-    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 132)
-    with pytest.raises(BudgetExceededError, match="^commutant at dimension 4 eliminates 14 rows in 16 orbit unknowns"):
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 39)
+    with pytest.raises(BudgetExceededError, match="^commutant at dimension 4 labels 16 positions and reads 24 terms, over the limit 39$"):
         commutant_dimension([jordan])
+
+
+def test_the_echelon_stops_past_sixteen_times_the_limit(monkeypatch):
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 1)
+    echelon = Echelon("three test rows")
+    assert echelon.add({i: 1 for i in range(8)}) and echelon.add({i: 1 for i in range(1, 9)})
+    assert echelon.updates == 16  # two rows read, no reduction: at the limit, not past it
+    with pytest.raises(BudgetExceededError) as exc:
+        echelon.add({0: 1, 8: 1})  # 2 entries read take the count past 16
+    assert str(exc.value) == "three test rows stopped after 18 updates at rank 2, over the limit 16"
+    assert echelon.rank == 2
+    with pytest.raises(BudgetExceededError, match="^the same rows stopped after 18 updates at rank 2, over the limit 16$"):
+        rank_of_rows([{i: 1 for i in range(8)}, {i: 1 for i in range(1, 9)}, {0: 1, 8: 1}], "the same rows")
+    # 4^2 tuples pass the check of the rows, and the closure is metered at 16 * 16
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 16)
+    with pytest.raises(BudgetExceededError) as exc:
+        perm_span_dim(4, 2)
+    assert str(exc.value) == "permutation span at (n, k) = (4, 2) stopped after 270 updates at rank 7, over the limit 256"
+    # the limit is read when an Echelon is made: at the default limit the same size finishes
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 2**20)
+    assert perm_span_dim(4, 2) == 23
 
 
 def test_only_the_distinct_p1_rows_reach_elimination(monkeypatch):
     fed = []
 
-    def recording(rows):
+    def recording(rows, what):
         fed.append(list(rows))
-        return rank_of_rows(fed[-1])
+        return rank_of_rows(fed[-1], what)
 
     monkeypatch.setattr(centralizer, "rank_of_rows", recording)
     for n, k in ((1, 1), (3, 1), (2, 2), (4, 2), (5, 2), (3, 3), (4, 3)):
@@ -441,11 +463,11 @@ def _distinct_p1_orbit_rows(n: int, k: int) -> int:
 
 def test_echelon_add_reports_independence_and_counts_updates():
     echelon = Echelon()
-    assert echelon.add({0: 1, 2: 3}) and echelon.updates == 0
-    assert echelon.add({0: 2, 1: 1}) and echelon.updates == 2  # one step against a 2-entry row
+    assert echelon.add({0: 1, 2: 3}) and echelon.updates == 2  # 2 entries read
+    assert echelon.add({0: 2, 1: 1}) and echelon.updates == 6  # 2 read, one step against a 2-entry row
     assert not echelon.add({0: 1, 2: 3})
     assert not echelon.add({})
-    assert echelon.rank == 2 and echelon.updates == 4
+    assert echelon.rank == 2 and echelon.updates == 10
     assert echelon.basis == {0: {0: 1, 2: 3}, 1: {1: 1, 2: -6}}
 
 
@@ -453,7 +475,8 @@ def test_echelon_add_reports_independence_and_counts_updates():
 @given(width=st.integers(1, 10), data=st.data())
 def test_an_echelon_basis_holds_at_most_its_capacity(width, data):
     # r distinct pivots, each row starting at its pivot: at most r * u - r * (r - 1) / 2
-    # entries over u unknowns, and r <= min(rows, u) only raises that bound
+    # entries over u unknowns, and r <= min(rows, u) only raises that bound; a
+    # reduction only merges supports, so the entries are also at most the updates
     cells = st.one_of(st.integers(-5, 5), RATIONALS)
     rows = data.draw(st.lists(st.dictionaries(st.integers(0, width - 1), cells), max_size=12))
     echelon = Echelon()
@@ -465,6 +488,7 @@ def test_an_echelon_basis_holds_at_most_its_capacity(width, data):
 
     entries = sum(len(b) for b in echelon.basis.values())
     assert entries <= capacity(echelon.rank) <= capacity(min(len(rows), width))
+    assert entries <= echelon.updates
 
 
 def test_perm_span_matches_dense_oracle_at_3_1():

@@ -314,9 +314,13 @@ def test_classification_verdict_fails_when_the_column_counts_disagree(capsys, mo
     ]
 
 
-def test_budget_errors_surface_as_runtime_failures(capsys):
-    code, _, err = run(capsys, "verify", "schur-weyl", "--n", "8", "--k", "2")
-    assert code == 1 and "error:" in err
+def test_budget_errors_surface_as_runtime_failures(capsys, monkeypatch):
+    # (5, 2) reads 1555 basis nonzeros and 5^2 tuples, under 2048; its
+    # permutation span needs more than 16 * 2048 updates and is stopped there
+    monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 2048)
+    code, out, err = run(capsys, "verify", "schur-weyl", "--n", "5", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: permutation span at (n, k) = (5, 2) stopped after 32793 updates at rank 77, over the limit 32768\n"
 
 
 def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
@@ -337,7 +341,7 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["norms", "lp", "--k", "4", "--trunc", "300", "--diagram", "1|2|3|4|1'|2'|3'|4'"], 1.0),  # 300^4
         (["verify", "closure", "--k", "6"], 1.0),  # Bell(12) diagrams, refused before enumerating
         (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
-        (["verify", "schur-weyl", "--n", "6", "--k", "3"], 1.0),  # permutation span of rank 588 over 17136 positions
+        (["verify", "schur-weyl", "--n", "9", "--k", "3"], 1.0),  # sum_(b <= 9) S(6, b) 9^b = 1911771 basis nonzeros
         (["verify", "schur-weyl", "--n", "5", "--k", "4"], 1.0),  # sum_(b <= 5) S(8, b) 5^b = 4468305 basis nonzeros
         (["verify", "closure", "--k", "7"], 1.0),  # Bell(14) diagrams, refused before enumerating
         (["verify", "closure", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
