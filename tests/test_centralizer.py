@@ -343,6 +343,13 @@ def test_perm_span_dimensions():
     with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(1100, 2\\) permutes 1100\\^2 tuples"):
         perm_span_dim(1100, 2)  # 1100^2 rows per permutation matrix, refused before any is built
     assert time.perf_counter() - start < 1.0
+    # n^k rows under the limit, but the n^2k position labels over it: refused before labelling
+    for n in (33, 1000):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as exc:
+            perm_span_dim(n, 2)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == f"permutation span at (n, k) = ({n}, 2) labels {n}^4 positions, over the limit {2**20}"
     with pytest.raises(ValueError):
         perm_span_dim(0, 1)
 
@@ -356,6 +363,26 @@ def test_perm_span_closure_matches_the_factorial_oracle():
                 for images in permutations(range(1, n + 1))
             )
             assert perm_span_dim(n, k) == rank_of_rows(rows) == perm_span_expected(n, k), (n, k)
+    for n in (6, 7):  # 720 and 5040 matrices: the closed form alone
+        assert perm_span_dim(n, 2) == perm_span_expected(n, 2), n
+
+
+def test_every_closure_product_is_constant_on_the_place_orbits():
+    # The closure multiplies permutation matrices, so each product is some
+    # P_sigma^(tensor k); its support must be a union of the orbits of the
+    # positions (a, b) under all k! simultaneous place permutations.
+    for n in range(1, 5):
+        for k in range(1, 4):
+            tuples = list(product(range(n), repeat=k))
+            index = {t: i for i, t in enumerate(tuples)}
+            places = list(permutations(range(k)))
+            for images in permutations(range(1, n + 1)):
+                support = {(r, c) for r, c, _ in perm_matrix(PermWord(images), k).triples}
+                for r, c in support:
+                    a, b = tuples[r], tuples[c]
+                    for s in places:
+                        moved = (index[tuple(a[p] for p in s)], index[tuple(b[p] for p in s)])
+                        assert moved in support, (n, k, images, a, b, s)
 
 
 def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
@@ -369,7 +396,9 @@ def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
     assert commutant_dimension([SparseMat(2, [(0, 1, 1)])]) == 2  # 2^2 positions and 2 * 2 * 1 terms
     with pytest.raises(BudgetExceededError, match="^commutant at dimension 2 labels 4 positions and reads 16 terms"):
         commutant_dimension([SparseMat(2, [(0, 0, 1), (0, 1, 1)])] * 2)
-    assert perm_span_dim(2, 2) == 2  # 2^2 tuples
+    assert perm_span_dim(2, 2) == 2  # 2^2 tuples and 2^4 labels
+    with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(5, 1\\) labels 5\\^2 positions, over the limit 16$"):
+        perm_span_dim(5, 1)  # 5 tuples pass, 25 labels do not
     with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(5, 2\\) permutes 5\\^2 tuples, over the limit 16$"):
         perm_span_dim(5, 2)
     # the nilpotent 4 x 4 Jordan block: 16 positions and 2 * 4 * 3 terms, then
@@ -393,17 +422,17 @@ def test_the_echelon_stops_past_sixteen_times_the_limit(monkeypatch):
     assert echelon.rank == 2
     with pytest.raises(BudgetExceededError, match="^the same rows stopped after 18 updates at rank 2, over the limit 16$"):
         rank_of_rows([{i: 1 for i in range(8)}, {i: 1 for i in range(1, 9)}, {0: 1, 8: 1}], "the same rows")
-    # 4^2 tuples pass the check of the rows, and the closure is metered at 16 * 16
-    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 16)
+    # 5^2 tuples and 5^4 labels pass their checks, and the closure is metered at 16 * 625
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 625)
     with pytest.raises(BudgetExceededError) as exc:
-        perm_span_dim(4, 2)
-    assert str(exc.value) == "permutation span at (n, k) = (4, 2) stopped after 270 updates at rank 7, over the limit 256"
+        perm_span_dim(5, 2)
+    assert str(exc.value) == "permutation span at (n, k) = (5, 2) stopped after 10015 updates at rank 67, over the limit 10000"
     # the limit is read when an Echelon is made: at the default limit the same size finishes
     monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 2**20)
-    assert perm_span_dim(4, 2) == 23
+    assert perm_span_dim(5, 2) == 78
 
 
-def test_only_the_distinct_p1_rows_reach_elimination(monkeypatch):
+def test_the_p1_rows_fed_span_the_whole_commutator_system(monkeypatch):
     fed = []
 
     def recording(rows, what):
@@ -423,21 +452,35 @@ def test_only_the_distinct_p1_rows_reach_elimination(monkeypatch):
         verify_schur_weyl(n, k)
         # fed: the diagram commutant, then the commutant of the permutations;
         # the diagram span eliminates in its own Echelon
-        assert len(fed[0]) == _distinct_p1_orbit_rows(n, k) and len(fed) == 2 and fed[1] == [], (n, k)
+        assert len(fed) == 2 and fed[1] == [], (n, k)
+        # the rows fed span the whole system: equal ranks, and so does their union
+        system, bound = _p1_commutator_system(n, k)
+        assert len(fed[0]) <= bound, (n, k)
+        assert rank_of_rows(fed[0]) == rank_of_rows(system) == rank_of_rows(fed[0] + system), (n, k)
+        width = 1 + max((x for row in fed[0] + system for x in row), default=-1)
+        if width <= 200:  # the dense oracle where it is quick: up to (4, 2) and (3, 3)
+            rank = _dense_rank(fed[0], width)
+            assert rank == _dense_rank(system, width) == _dense_rank(fed[0] + system, width), (n, k)
 
 
-def _distinct_p1_orbit_rows(n: int, k: int) -> int:
-    # The rows of XG - GX for G = p_1, over unknowns keyed by the least image of
-    # the position (a, b) under the place permutations, with the positions
-    # whose tuples differ in their pattern of equal entries set to 0 (b_1),
-    # counted up to a nonzero scalar.
+def _p1_commutator_system(n: int, k: int) -> tuple[list[dict[int, Fraction]], int]:
+    # All D^2 rows of XG - GX for G = p_1, distinct up to a nonzero scalar, over
+    # unknowns keyed by the least image of the position (a, b) under the place
+    # permutations and numbered in the order of their first position, with the
+    # positions whose tuples differ in their pattern of equal entries set to 0
+    # (b_1).  Also the bound D * |column classes| + |row classes| * (D - |column
+    # classes|) on the rows formed from the classes of equal columns and rows.
     tuples = list(product(range(n), repeat=k))
     places = list(permutations(range(k)))
+    number = {}
+    for a in tuples:
+        for b in tuples:
+            number.setdefault(min(tuple(a[p] for p in s) + tuple(b[p] for p in s) for s in places), len(number))
 
     def unknown(a, b):
         if any((a[i] == a[j]) != (b[i] == b[j]) for i in range(k) for j in range(k)):
             return None
-        return min(tuple(a[p] for p in s) + tuple(b[p] for p in s) for s in places)
+        return number[min(tuple(a[p] for p in s) + tuple(b[p] for p in s) for s in places)]
 
     key = {(a, b): unknown(a, b) for a in tuples for b in tuples}
     p1 = matrix(partition_algebra_generators(k)[0], n)
@@ -458,7 +501,10 @@ def _distinct_p1_orbit_rows(n: int, k: int) -> int:
             if row:
                 lead = row[min(row)]
                 rows.add(frozenset((x, v / lead) for x, v in row.items()))
-    return len(rows)
+    column_classes = len({frozenset(col) for col in g_cols.values()})
+    row_classes = len({frozenset(row) for row in g_rows.values()})
+    dim = len(tuples)
+    return [dict(row) for row in rows], dim * column_classes + row_classes * (dim - column_classes)
 
 
 def test_echelon_add_reports_independence_and_counts_updates():

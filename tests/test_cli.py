@@ -315,12 +315,12 @@ def test_classification_verdict_fails_when_the_column_counts_disagree(capsys, mo
 
 
 def test_budget_errors_surface_as_runtime_failures(capsys, monkeypatch):
-    # (5, 2) reads 1555 basis nonzeros and 5^2 tuples, under 2048; its
-    # permutation span needs more than 16 * 2048 updates and is stopped there
-    monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 2048)
-    code, out, err = run(capsys, "verify", "schur-weyl", "--n", "5", "--k", "2")
+    # (6, 2) reads 2850 basis nonzeros, 6^2 tuples and 6^4 labels, under 4096;
+    # its permutation span needs more than 16 * 4096 updates and is stopped there
+    monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 4096)
+    code, out, err = run(capsys, "verify", "schur-weyl", "--n", "6", "--k", "2")
     assert (code, out) == (1, "")
-    assert err == "error: permutation span at (n, k) = (5, 2) stopped after 32793 updates at rank 77, over the limit 32768\n"
+    assert err == "error: permutation span at (n, k) = (6, 2) stopped after 65545 updates at rank 169, over the limit 65536\n"
 
 
 def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
