@@ -16,6 +16,7 @@ from partalg.centralizer import (
     BudgetExceededError,
     Echelon,
     VerificationReport,
+    _BitEchelon,
     _integer_row,
     _permutation,
     centralizer_dimension,
@@ -367,6 +368,68 @@ def test_perm_span_closure_matches_the_factorial_oracle():
         assert perm_span_dim(n, 2) == perm_span_expected(n, 2), n
 
 
+def _bit_rank(rows: list[dict[int, int]]) -> int:
+    echelon = _BitEchelon("test rows mod 2")
+    for row in rows:
+        echelon.add(sum(1 << c for c, v in row.items() if v % 2))
+    return echelon.rank
+
+
+def test_rank_mod_2_can_fall_below_the_rank_over_q():
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]  # 110, 011, 101: the third is the sum mod 2
+    assert _bit_rank(rows) == 2
+    assert rank_of_rows(rows) == _dense_rank(rows, 3) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=INT_ROWS)
+def test_rank_mod_2_is_at_most_the_rank_over_q(rows):
+    assert _bit_rank(rows) <= rank_of_rows(rows) == _dense_rank(rows, WIDTH)
+
+
+def test_the_permutation_span_is_certified_without_elimination_over_z(monkeypatch):
+    class Refused(Echelon):
+        def __init__(self, what="elimination"):
+            raise AssertionError(f"integer elimination reached: {what}")
+
+    monkeypatch.setattr(centralizer, "Echelon", Refused)
+    for n in range(1, 11):
+        assert perm_span_dim(n, 2) == perm_span_expected(n, 2), n
+    for n in range(1, 7):
+        assert perm_span_dim(n, 3) == perm_span_expected(n, 3), n
+    # k >= n - 1: the lower bound reaches n!, and nothing else is computed
+    monkeypatch.setattr(centralizer, "_diagram_commutant_bound", None)
+    for n in range(1, 6):
+        for k in range(max(n - 1, 1), 5):
+            assert perm_span_dim(n, k) == perm_span_expected(n, k) == factorial(n), (n, k)
+
+
+def test_an_upper_bound_that_misses_runs_the_integer_closure(monkeypatch):
+    bound = centralizer._diagram_commutant_bound
+    made = []
+
+    class Recorded(Echelon):
+        def __init__(self, what="elimination"):
+            super().__init__(what)
+            made.append(what)
+
+    monkeypatch.setattr(centralizer, "_diagram_commutant_bound", lambda n, k, gens: bound(n, k, gens) + 1)
+    monkeypatch.setattr(centralizer, "Echelon", Recorded)
+    for n, k in ((3, 1), (5, 1), (4, 2), (5, 2), (7, 2), (5, 3)):
+        made.clear()
+        assert perm_span_dim(n, k) == perm_span_expected(n, k), (n, k)
+        assert made == [f"permutation span at (n, k) = ({n}, {k})"], (n, k)
+
+
+def test_a_diagram_that_fails_to_commute_is_refused(monkeypatch):
+    # p_1 replaced by the unit matrix E_(0, 1), which s_1 moves to E_(n + 1, n)
+    p1 = partition_algebra_generators(2)[0]
+    monkeypatch.setattr(centralizer, "matrix", lambda d, n: SparseMat(n * n, [(0, 1, 1)]) if d == p1 else matrix(d, n))
+    with pytest.raises(RuntimeError, match=r"^permutation span at \(n, k\) = \(5, 2\): a generator of S_5 does not commute with the diagram "):
+        perm_span_dim(5, 2)
+    assert perm_span_dim(3, 2) == 6  # L = 3! needs no upper bound
+
+
 def test_every_closure_product_is_constant_on_the_place_orbits():
     # The closure multiplies permutation matrices, so each product is some
     # P_sigma^(tensor k); its support must be a union of the orbits of the
@@ -422,14 +485,21 @@ def test_the_echelon_stops_past_sixteen_times_the_limit(monkeypatch):
     assert echelon.rank == 2
     with pytest.raises(BudgetExceededError, match="^the same rows stopped after 18 updates at rank 2, over the limit 16$"):
         rank_of_rows([{i: 1 for i in range(8)}, {i: 1 for i in range(1, 9)}, {0: 1, 8: 1}], "the same rows")
-    # 5^2 tuples and 5^4 labels pass their checks, and the closure is metered at 16 * 625
-    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 625)
+    # the bit echelon counts 64-bit words: bit 1000 makes a row of 16 words
+    bits = _BitEchelon("two test bitsets")
+    assert bits.add(1 << 1000 | 1) and bits.words == 16  # one row read: at the limit, not past it
     with pytest.raises(BudgetExceededError) as exc:
-        perm_span_dim(5, 2)
-    assert str(exc.value) == "permutation span at (n, k) = (5, 2) stopped after 10015 updates at rank 67, over the limit 10000"
-    # the limit is read when an Echelon is made: at the default limit the same size finishes
+        bits.add(1 << 1000)  # 16 words read take the count past 16
+    assert str(exc.value) == "two test bitsets stopped after 32 words at rank 1, over the limit 16"
+    assert bits.rank == 1
+    # 7^2 tuples and 7^4 labels pass their checks, and the closure mod 2 is metered at 16 * 2401
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 2401)
+    with pytest.raises(BudgetExceededError) as exc:
+        perm_span_dim(7, 2)
+    assert str(exc.value) == "permutation span at (n, k) = (7, 2) mod 2 stopped after 38422 words at rank 279, over the limit 38416"
+    # the limit is read when an echelon is made: at the default limit the same size finishes
     monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 2**20)
-    assert perm_span_dim(5, 2) == 78
+    assert perm_span_dim(7, 2) == 458
 
 
 def test_the_p1_rows_fed_span_the_whole_commutator_system(monkeypatch):

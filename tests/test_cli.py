@@ -315,12 +315,17 @@ def test_classification_verdict_fails_when_the_column_counts_disagree(capsys, mo
 
 
 def test_budget_errors_surface_as_runtime_failures(capsys, monkeypatch):
-    # (6, 2) reads 2850 basis nonzeros, 6^2 tuples and 6^4 labels, under 4096;
-    # its permutation span needs more than 16 * 4096 updates and is stopped there
+    # (7, 2) reads 4809 basis nonzeros, 7^2 tuples and 7^4 labels, under 8192;
+    # its permutation span mod 2 needs more than 16 * 8192 words and is stopped there
+    monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 8192)
+    code, out, err = run(capsys, "verify", "schur-weyl", "--n", "7", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: permutation span at (n, k) = (7, 2) mod 2 stopped after 131080 words at rank 427, over the limit 131072\n"
+    # at (6, 2) the closure mod 2 passes the meter and its upper bound is refused up front
     monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 4096)
     code, out, err = run(capsys, "verify", "schur-weyl", "--n", "6", "--k", "2")
     assert (code, out) == (1, "")
-    assert err == "error: permutation span at (n, k) = (6, 2) stopped after 65545 updates at rank 169, over the limit 65536\n"
+    assert err == "error: commutant at dimension 36 labels 1296 positions and reads 15552 terms, over the limit 4096\n"
 
 
 def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
@@ -332,6 +337,10 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# stopped by the meter of the permutation span mod 2, at 16 times the limit, in 0.4 and 0.6 s in process
+METERED = (["verify", "schur-weyl", "--n", "11", "--k", "2"], ["verify", "schur-weyl", "--n", "7", "--k", "3"])
 
 
 @pytest.mark.parametrize(
@@ -354,6 +363,7 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
         (["verify", "schur-weyl", "--n", "1", "--k", "6"], 1.0),  # Bell(12) diagrams, before their nonzeros
         (["verify", "classification", "--k", "6"], 1.0),  # Bell(12) diagrams, before their tuples
         (["norms", "lp", "--k", "1", "--diagram", "1|1'", "--trunc", "16000"], 1.0),  # 500-word weights
+        *((argv, 2.0) for argv in METERED),
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
@@ -361,7 +371,8 @@ def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < seconds
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.endswith(", over the limit 1048576\n") and err.count("\n") == 1
+    limit = 16 * 2**20 if argv in METERED else 2**20
+    assert err.startswith("error: ") and err.endswith(f", over the limit {limit}\n") and err.count("\n") == 1
     # from k = 6 on Bell(2k) is over the limit, and one guard refuses every walk over the diagrams
     k = int(argv[argv.index("--k") + 1]) if "--k" in argv else 0
     if argv[0] in ("diagrams", "verify") and k >= 6:
