@@ -12,7 +12,8 @@ A commutant eliminates only the rows of its generators that are neither
 permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`);
 a span eliminates one row per matrix, in column classes (`span_rank`).  The
 permutation span is certified mod 2 instead (`perm_span_dim`): its rows are
-int bitsets in a `_BitEchelon`, which reduces by XOR.
+int bitsets in a `_BitEchelon`, which reduces by XOR, keyed by the live
+orbit unknowns of the diagram commutant (`_commutant_system`).
 
 There are no size caps.  What a layer allocates or reads is counted before
 it eliminates and passed to `rep.check_budget`; the elimination itself is
@@ -234,17 +235,18 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
     of all D^2) and 175,092 `Echelon.updates`, against 1,186,553 in
     ascending order.  The dimension is live orbits minus rank.
 
-    The D*D positions plus the 2 * D * nnz terms the other generators' rows
-    read are checked before labelling; the elimination is metered.
+    The D*D positions are checked before labelling, and the D*D positions
+    plus the 2 * D * nnz terms the other generators' rows read before the
+    first row is formed; the elimination is metered.
     """
-    dim, live, rows = _commutant_system(generators)
+    dim, live, _, rows = _commutant_system(generators)
     rows = {tuple(sorted(row.items())) for row in rows}
     what = f"commutant at dimension {dim} eliminating {len(rows)} rows in {live} orbit unknowns"
     return live - rank_of_rows((dict(row) for row in sorted(rows, reverse=True)), what)
 
 
-def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, Iterator[dict[int, int | Fraction]]]:
-    """The dimension, the live orbit count and the commutator rows of `commutant_dimension`."""
+def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, list[int], Iterator[dict[int, int | Fraction]]]:
+    """The dimension, the live orbit count, each position's orbit label (-1 where dead) and the commutator rows, read lazily."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -260,14 +262,21 @@ def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, Iterat
         else:
             others.append(g)
     terms = 2 * dim * sum(g.nnz for g in others)
-    check_budget(dim * dim + terms, f"commutant at dimension {dim} labels {dim * dim} positions and reads {terms} terms")
+    what = f"commutant at dimension {dim} labels {dim * dim} positions and reads {terms} terms"
+    check_budget(dim * dim, what)
     label, count = _position_orbits(dim, perms)
     dead = set()
     for g in diagonals:
         diag = {r: v for r, _, v in g.triples}
         dead.update(o for p, o in enumerate(label) if diag.get(p // dim, 0) != diag.get(p % dim, 0))
     label = [-1 if o in dead else o for o in label]
-    return dim, count - len(dead), (row for g in others for row in _orbit_commutator_rows(g, label))
+
+    def rows() -> Iterator[dict[int, int | Fraction]]:
+        check_budget(dim * dim + terms, what)
+        for g in others:
+            yield from _orbit_commutator_rows(g, label)
+
+    return dim, count - len(dead), label, rows()
 
 
 def _permutation(g: SparseMat) -> list[int] | None:
@@ -387,32 +396,38 @@ def perm_span_dim(n: int, k: int) -> int:
     permutation matrix is held as the column of the one in each row, so row
     r of m @ g has its one in column g[m[r]].
 
-    Each P_sigma^(tensor k) commutes with every permutation Q of the k
-    places, so every product does: P[Qa, Qb] = P[a, b].  A product is thus
-    constant on the orbits of the positions (a, b) under simultaneous place
-    permutation, and keying it by those orbits keeps the rank.  They are
-    labelled once, from the place generators s_1 and the long strand cycle:
-    2080 orbits of the 4096 positions at (8, 2), 8436 of 46,656 at (6, 3).
+    The closure works in the coordinates of the diagram commutant, which
+    holds the span: `_commutant_system` of the matrices of
+    `partition_algebra_generators(k)` labels the orbits of the positions
+    under the place permutations and marks dead the orbits b_1 kills.  Each
+    S_n generator is checked to commute with each diagram generator before
+    any product is keyed, so every product is constant on each orbit and
+    zero on the dead ones: 2080 orbits of 4096 positions at (8, 2), 8436 of
+    46,656 at (6, 3).
 
     The rank is certified by L <= dim <= U, with no elimination over Z:
       L is the closure's rank mod 2: 0/1 rows independent mod 2 are independent over Q;
-      U is n!, the number of matrices, or else `_diagram_commutant_bound`, for the span lies in
-      the diagram commutant.  L = U proves dim = L; else the closure runs again over Z.
+      U is n!, the number of matrices, or else the live orbits minus the rank mod 2 of
+      the commutator rows, which is at least the dimension of the diagram commutant.
+      L = U proves dim = L; else the closure runs again over Z.
 
-    The n^k rows of each generator's matrix and the n^2k labels are checked
-    before they are built; each echelon is metered.  The closure mod 2 takes
-    14.2 M of the 2^24 words at (10, 2) and is stopped at (11, 2) and (7, 3).
+    The matrices and positions are budgeted by `matrix` and `_commutant_system`,
+    and each echelon is metered: the closure mod 2 takes 14.2 M of the 2^24
+    words at (10, 2) and is stopped at (11, 2) and (7, 3).
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    dim = n**k
-    check_budget(dim, f"permutation span at (n, k) = ({n}, {k}) permutes {n}^{k} tuples")
-    check_budget(dim * dim, f"permutation span at (n, k) = ({n}, {k}) labels {n}^{2 * k} positions")
-    # the diagrams between p_1 and b_1 are the place generators: none at k = 1
-    label, count = _position_orbits(dim, [_permutation(matrix(d, n)) for d in partition_algebra_generators(k)[1:-1]])
+    diagrams = partition_algebra_generators(k)
+    mats = [matrix(d, n) for d in diagrams]
+    dim, live, label, rows = _commutant_system(mats)
     gens = [_permutation(perm_matrix(s, k)) for s in symmetric_group_generators(n)]
+    for d, m in zip(diagrams, mats):
+        entries = {r * dim + c: v for r, c, v in m.triples}
+        for g in gens:
+            if {g[r] * dim + g[c]: v for r, c, v in m.triples} != entries:
+                raise RuntimeError(f"permutation span at (n, k) = ({n}, {k}): a generator of S_{n} does not commute with the diagram {d}")
     what = f"permutation span at (n, k) = ({n}, {k})"
-    width = (count + 7) // 8
+    width = (max(label) + 8) // 8
 
     def bits(p: list[int]) -> int:
         row = bytearray(width)
@@ -422,7 +437,13 @@ def perm_span_dim(n: int, k: int) -> int:
         return int.from_bytes(row, "little")
 
     lower = _closure_rank(gens, _BitEchelon(f"{what} mod 2"), bits)
-    if lower == factorial(n) or lower == _diagram_commutant_bound(n, k, gens):
+    if lower == factorial(n):
+        return lower
+    upper = _BitEchelon(f"commutant at dimension {dim} mod 2 in {live} orbit unknowns")
+    # distinct and ascending: 7.3 M words at (6, 3), against 9.8 M unsorted and 23 M descending
+    for x in sorted({sum(1 << o for o, v in row.items() if v & 1) for row in rows}):
+        upper.add(x)
+    if lower == live - upper.rank:
         return lower
     # keyed column-major: fewer updates than row-major in this closure
     return _closure_rank(gens, Echelon(what), lambda p: {label[c * dim + r]: 1 for r, c in enumerate(p)})
@@ -442,31 +463,6 @@ def _closure_rank(gens: Sequence[list[int]], echelon: Echelon | _BitEchelon, row
                     grown.append(p)
         frontier = grown
     return echelon.rank
-
-
-def _diagram_commutant_bound(n: int, k: int, gens: Sequence[list[int]]) -> int:
-    """An upper bound on the permutation span at (n, k): the diagram commutant's live orbits minus a rank mod 2.
-
-    Each permutation in `gens` must commute with each matrix of
-    `partition_algebra_generators(k)`, P G P^-1 = G, one map of G's support
-    per pair; then the permutation span lies in the commutant of the
-    diagrams.  Its commutator rows are integral, so their rank mod 2 is at
-    most their rank over Q, and live orbits minus it is at least the
-    commutant's dimension.  The elimination mod 2 is metered in words.
-    """
-    diagrams = partition_algebra_generators(k)
-    mats = [matrix(d, n) for d in diagrams]
-    for d, m in zip(diagrams, mats):
-        entries = {r * m.dim + c: v for r, c, v in m.triples}
-        for g in gens:
-            if {g[r] * m.dim + g[c]: v for r, c, v in m.triples} != entries:
-                raise RuntimeError(f"permutation span at (n, k) = ({n}, {k}): a generator of S_{n} does not commute with the diagram {d}")
-    dim, live, rows = _commutant_system(mats)
-    echelon = _BitEchelon(f"commutant at dimension {dim} mod 2 in {live} orbit unknowns")
-    # distinct and ascending: 7.3 M words at (6, 3), against 9.8 M unsorted and 23 M descending
-    for x in sorted({sum(1 << o for o, v in row.items() if v & 1) for row in rows}):
-        echelon.add(x)
-    return live - echelon.rank
 
 
 def _partitions(m: int, largest: int):

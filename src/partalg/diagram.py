@@ -228,26 +228,23 @@ def concat(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
     if d1.k != d2.k:
         raise ValueError(f"cannot concatenate diagrams with k={d1.k} and k={d2.k}")
     k = d1.k
-    part, swallowed = _stack(d1.part, d2.part, k, k, k)
+    part, swallowed = _stack(d1.part, d2.part, k, k)
     return Diagram(k, part), swallowed
 
 
-def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int, bottom: int) -> tuple[SetPartition, int]:
+def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int) -> tuple[SetPartition, int]:
     """Stack p1 (top + mid vertices) above p2 (mid + bottom) and fuse the mid row.
 
     Returns the induced partition of p1's top row followed by p2's bottom
     row, and the number of components lying entirely in the fused row.
     """
-    # Nodes 0..top-1: top of p1.  Then the fused middle row, then the bottom of p2.
-    dsu = DisjointSets(top + mid + bottom)
-    for block in p1.blocks:
-        for v in block[1:]:
-            dsu.union(block[0], v)
-    for block in p2.blocks:
-        for v in block[1:]:
-            dsu.union(block[0] + top, v + top)
-    labels = [dsu.find(v) for v in (*range(top), *range(top + mid, top + mid + bottom))]
-    middle_only = {dsu.find(v) for v in range(top, top + mid)} - set(labels)
+    # Nodes are the blocks of p1, then those of p2; each middle vertex joins its two blocks.
+    shift = p1.num_blocks
+    dsu = DisjointSets(shift + p2.num_blocks)
+    for a, b in zip(p1.rgs[top:], p2.rgs):
+        dsu.union(a, shift + b)
+    labels = [dsu.find(a) for a in p1.rgs[:top]] + [dsu.find(shift + b) for b in p2.rgs[mid:]]
+    middle_only = {dsu.find(a) for a in p1.rgs[top:]} - set(labels)
     return setpart.from_labels(labels), len(middle_only)
 
 
@@ -495,6 +492,6 @@ def rect_compose(d1: RectDiagram, d2: RectDiagram) -> RectDiagram | None:
     """
     if d1.l_bottom != d2.k_top:
         return None
-    part, swallowed = _stack(d1.part, d2.part, d1.k_top, d1.l_bottom, d2.l_bottom)
+    part, swallowed = _stack(d1.part, d2.part, d1.k_top, d1.l_bottom)
     assert not swallowed, "middle components cannot arise without top-isolated blocks"
     return RectDiagram(d1.k_top, d2.l_bottom, part)

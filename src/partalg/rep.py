@@ -293,10 +293,14 @@ def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
 
     Row t has its one in column sigma^-1(t); appending one tuple position at
     a time keeps the rows in order.
+
+    Raises BudgetExceededError, before allocating anything, when the n^k
+    nonzeros would exceed MATRIX_NNZ_LIMIT.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     n = sigma.n
+    check_budget(n**k, f"permutation matrix at n = {n} on {k}-tuples has {n}^{k} nonzeros")
     preimages = [0] * n
     for x, y in enumerate(sigma.images):
         preimages[y - 1] = x

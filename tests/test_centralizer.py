@@ -340,17 +340,18 @@ def test_perm_span_dimensions():
     assert perm_span_dim(4, 2) == 23
     assert perm_span_dim(6, 1) == 26
     assert perm_span_dim(2, 3) == 2
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(1100, 2\\) permutes 1100\\^2 tuples"):
-        perm_span_dim(1100, 2)  # 1100^2 rows per permutation matrix, refused before any is built
-    assert time.perf_counter() - start < 1.0
-    # n^k rows under the limit, but the n^2k position labels over it: refused before labelling
-    for n in (33, 1000):
+    # refused before anything is labelled: by `matrix` on the n^3 nonzeros of p_1,
+    # or by the commutant on its n^4 positions (33^3 nonzeros pass, 33^4 positions do not)
+    for n, refusal in (
+        (1100, "matrix at n = 1100 of a 3-block diagram has 1100^3 nonzeros"),
+        (1000, "matrix at n = 1000 of a 3-block diagram has 1000^3 nonzeros"),
+        (33, "commutant at dimension 1089 labels 1185921 positions and reads 78270786 terms"),
+    ):
         start = time.perf_counter()
         with pytest.raises(BudgetExceededError) as exc:
             perm_span_dim(n, 2)
         assert time.perf_counter() - start < 1.0
-        assert str(exc.value) == f"permutation span at (n, k) = ({n}, 2) labels {n}^4 positions, over the limit {2**20}"
+        assert str(exc.value) == f"{refusal}, over the limit {2**20}"
     with pytest.raises(ValueError):
         perm_span_dim(0, 1)
 
@@ -397,23 +398,38 @@ def test_the_permutation_span_is_certified_without_elimination_over_z(monkeypatc
         assert perm_span_dim(n, 2) == perm_span_expected(n, 2), n
     for n in range(1, 7):
         assert perm_span_dim(n, 3) == perm_span_expected(n, 3), n
-    # k >= n - 1: the lower bound reaches n!, and nothing else is computed
-    monkeypatch.setattr(centralizer, "_diagram_commutant_bound", None)
+    # k >= n - 1: the lower bound reaches n!, and no commutator row is read
+    system = centralizer._commutant_system
+
+    def unread(generators):
+        dim, live, label, _ = system(generators)
+
+        def rows():
+            raise AssertionError("a commutator row was read")
+            yield
+
+        return dim, live, label, rows()
+
+    monkeypatch.setattr(centralizer, "_commutant_system", unread)
     for n in range(1, 6):
         for k in range(max(n - 1, 1), 5):
             assert perm_span_dim(n, k) == perm_span_expected(n, k) == factorial(n), (n, k)
 
 
 def test_an_upper_bound_that_misses_runs_the_integer_closure(monkeypatch):
-    bound = centralizer._diagram_commutant_bound
+    system = centralizer._commutant_system
     made = []
+
+    def one_more_orbit(generators):  # the upper bound, live orbits minus a rank mod 2, grows by one
+        dim, live, label, rows = system(generators)
+        return dim, live + 1, label, rows
 
     class Recorded(Echelon):
         def __init__(self, what="elimination"):
             super().__init__(what)
             made.append(what)
 
-    monkeypatch.setattr(centralizer, "_diagram_commutant_bound", lambda n, k, gens: bound(n, k, gens) + 1)
+    monkeypatch.setattr(centralizer, "_commutant_system", one_more_orbit)
     monkeypatch.setattr(centralizer, "Echelon", Recorded)
     for n, k in ((3, 1), (5, 1), (4, 2), (5, 2), (7, 2), (5, 3)):
         made.clear()
@@ -425,9 +441,10 @@ def test_a_diagram_that_fails_to_commute_is_refused(monkeypatch):
     # p_1 replaced by the unit matrix E_(0, 1), which s_1 moves to E_(n + 1, n)
     p1 = partition_algebra_generators(2)[0]
     monkeypatch.setattr(centralizer, "matrix", lambda d, n: SparseMat(n * n, [(0, 1, 1)]) if d == p1 else matrix(d, n))
-    with pytest.raises(RuntimeError, match=r"^permutation span at \(n, k\) = \(5, 2\): a generator of S_5 does not commute with the diagram "):
-        perm_span_dim(5, 2)
-    assert perm_span_dim(3, 2) == 6  # L = 3! needs no upper bound
+    # checked before any product is keyed, also where L = n! needs no upper bound
+    for n in (3, 5):
+        with pytest.raises(RuntimeError, match=rf"^permutation span at \(n, k\) = \({n}, 2\): a generator of S_{n} does not commute with the diagram "):
+            perm_span_dim(n, 2)
 
 
 def test_every_closure_product_is_constant_on_the_place_orbits():
@@ -448,6 +465,48 @@ def test_every_closure_product_is_constant_on_the_place_orbits():
                         assert moved in support, (n, k, images, a, b, s)
 
 
+def test_every_permutation_matrix_is_zero_on_the_dead_orbits():
+    # the permutation span is keyed by the diagram commutant's live orbit labels
+    for n in range(1, 6):
+        for k in range(1, 4):
+            dim, _, label, _ = centralizer._commutant_system([matrix(d, n) for d in partition_algebra_generators(k)])
+            for images in permutations(range(1, n + 1)):
+                assert all(label[r * dim + c] >= 0 for r, c, _ in perm_matrix(PermWord(images), k).triples), (n, k, images)
+
+
+def test_the_place_orbits_are_labelled_once_per_commutant(monkeypatch):
+    calls = []
+    orbits = centralizer._position_orbits
+
+    def counted(dim, perms):
+        calls.append(dim)
+        return orbits(dim, perms)
+
+    monkeypatch.setattr(centralizer, "_position_orbits", counted)
+    for n, k in ((3, 1), (4, 2), (5, 2), (3, 2), (2, 3)):  # L < n! first, then L = n!
+        calls.clear()
+        perm_span_dim(n, k)
+        assert len(calls) == 1, (n, k)
+        calls.clear()
+        verify_schur_weyl(n, k)  # the permutation span and the two commutants
+        assert len(calls) == 3, (n, k)
+
+
+def test_the_span_at_n_factorial_reads_no_commutator_terms(monkeypatch):
+    # (3, 2): 9^2 = 81 positions, and p_1's 27 nonzeros make 2 * 9 * 27 = 486 terms
+    diagrams = [matrix(d, 3) for d in partition_algebra_generators(2)]
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 81)
+    assert perm_span_dim(3, 2) == factorial(3)
+    with pytest.raises(BudgetExceededError) as exc:
+        commutant_dimension(diagrams)
+    assert str(exc.value) == "commutant at dimension 9 labels 81 positions and reads 486 terms, over the limit 81"
+    # the positions alone are checked before labelling, with the same message
+    monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 80)
+    with pytest.raises(BudgetExceededError) as exc:
+        perm_span_dim(3, 2)
+    assert str(exc.value) == "commutant at dimension 9 labels 81 positions and reads 486 terms, over the limit 80"
+
+
 def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
     monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 16)
     assert span_rank([SparseMat.identity(4)] * 4) == 1
@@ -459,10 +518,10 @@ def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
     assert commutant_dimension([SparseMat(2, [(0, 1, 1)])]) == 2  # 2^2 positions and 2 * 2 * 1 terms
     with pytest.raises(BudgetExceededError, match="^commutant at dimension 2 labels 4 positions and reads 16 terms"):
         commutant_dimension([SparseMat(2, [(0, 0, 1), (0, 1, 1)])] * 2)
-    assert perm_span_dim(2, 2) == 2  # 2^2 tuples and 2^4 labels
-    with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(5, 1\\) labels 5\\^2 positions, over the limit 16$"):
-        perm_span_dim(5, 1)  # 5 tuples pass, 25 labels do not
-    with pytest.raises(BudgetExceededError, match="^permutation span at \\(n, k\\) = \\(5, 2\\) permutes 5\\^2 tuples, over the limit 16$"):
+    assert perm_span_dim(2, 2) == 2  # 2^3 nonzeros of p_1 and 2^4 positions; L = 2! reads no row
+    with pytest.raises(BudgetExceededError, match="^matrix at n = 5 of a 2-block diagram has 5\\^2 nonzeros, over the limit 16$"):
+        perm_span_dim(5, 1)  # p_1 is the all-ones 5 x 5 matrix
+    with pytest.raises(BudgetExceededError, match="^matrix at n = 5 of a 3-block diagram has 5\\^3 nonzeros, over the limit 16$"):
         perm_span_dim(5, 2)
     # the nilpotent 4 x 4 Jordan block: 16 positions and 2 * 4 * 3 terms, then
     # its 14 distinct rows take 31 updates, under the meter's 16 * 40
@@ -492,7 +551,7 @@ def test_the_echelon_stops_past_sixteen_times_the_limit(monkeypatch):
         bits.add(1 << 1000)  # 16 words read take the count past 16
     assert str(exc.value) == "two test bitsets stopped after 32 words at rank 1, over the limit 16"
     assert bits.rank == 1
-    # 7^2 tuples and 7^4 labels pass their checks, and the closure mod 2 is metered at 16 * 2401
+    # 7^3 nonzeros of p_1 and 7^4 positions pass their checks, and the closure mod 2 is metered at 16 * 2401
     monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 2401)
     with pytest.raises(BudgetExceededError) as exc:
         perm_span_dim(7, 2)

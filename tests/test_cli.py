@@ -315,13 +315,14 @@ def test_classification_verdict_fails_when_the_column_counts_disagree(capsys, mo
 
 
 def test_budget_errors_surface_as_runtime_failures(capsys, monkeypatch):
-    # (7, 2) reads 4809 basis nonzeros, 7^2 tuples and 7^4 labels, under 8192;
+    # (7, 2) reads 4809 basis nonzeros, 7^3 nonzeros of p_1 and 7^4 positions, under 8192;
     # its permutation span mod 2 needs more than 16 * 8192 words and is stopped there
     monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 8192)
     code, out, err = run(capsys, "verify", "schur-weyl", "--n", "7", "--k", "2")
     assert (code, out) == (1, "")
     assert err == "error: permutation span at (n, k) = (7, 2) mod 2 stopped after 131080 words at rank 427, over the limit 131072\n"
-    # at (6, 2) the closure mod 2 passes the meter and its upper bound is refused up front
+    # at (6, 2) the closure mod 2 passes the meter, and its upper bound's commutator rows
+    # are refused before the first is formed
     monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 4096)
     code, out, err = run(capsys, "verify", "schur-weyl", "--n", "6", "--k", "2")
     assert (code, out) == (1, "")

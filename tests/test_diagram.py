@@ -28,7 +28,7 @@ from partalg.diagram import (
     partition_algebra_generators,
     rect_compose,
 )
-from partalg.setpart import SetPartition, enumerate_partitions, from_blocks
+from partalg.setpart import DisjointSets, SetPartition, enumerate_partitions, from_blocks, from_labels
 
 D2 = list(enumerate_diagrams(2))
 D3 = list(enumerate_diagrams(3))
@@ -513,6 +513,35 @@ def test_rect_compose_randomized_shapes_have_no_middle_components():
         assert all(any(v < k or v >= k + mid for v in comp) for comp in comps)
         if l != d2.k_top:
             assert rect_compose(d2, d2) is None or l == mid
+
+
+@st.composite
+def stacked_partitions(draw) -> tuple[SetPartition, SetPartition, int, int]:
+    # rectangular shapes, empty rows included, with any set partitions on them
+    top, mid, bottom = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def partition(size: int) -> SetPartition:
+        return from_labels(draw(st.lists(st.integers(0, 4), min_size=size, max_size=size)))
+
+    return partition(top + mid), partition(mid + bottom), top, mid
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=stacked_partitions())
+def test_stacking_blocks_matches_a_union_find_over_the_vertices(stack):
+    p1, p2, top, mid = stack
+    bottom = p2.ground_size - mid
+    # nodes: the top row of p1, the fused middle row, then the bottom row of p2
+    dsu = DisjointSets(top + mid + bottom)
+    for block in p1.blocks:
+        for v in block[1:]:
+            dsu.union(block[0], v)
+    for block in p2.blocks:
+        for v in block[1:]:
+            dsu.union(block[0] + top, v + top)
+    labels = [dsu.find(v) for v in (*range(top), *range(top + mid, top + mid + bottom))]
+    middle_only = {dsu.find(v) for v in range(top, top + mid)} - set(labels)
+    assert diagram._stack(p1, p2, top, mid) == (from_labels(labels), len(middle_only))
 
 
 def test_rect_compose_agrees_with_diagram_product_on_square_shapes():

@@ -109,6 +109,13 @@ def test_matrix_checks_the_nonzero_budget_before_building(monkeypatch):
         matrix(parse_diagram("1|2|3,1'|2'|3'"), 2)
 
 
+def test_perm_matrix_checks_its_nonzeros_before_building_them(monkeypatch):
+    monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
+    assert perm_matrix(PermWord.cycle(4), 2).nnz == 16
+    with pytest.raises(BudgetExceededError, match=r"^permutation matrix at n = 5 on 2-tuples has 5\^2 nonzeros, over the limit 16$"):
+        perm_matrix(PermWord.cycle(5), 2)
+
+
 def test_diagram_count_guard_refuses_by_its_floor_then_by_bell(monkeypatch):
     monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
     assert rep.check_diagram_count("walk", 2) == 15  # Bell(4)
