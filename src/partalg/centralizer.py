@@ -267,8 +267,12 @@ def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, list[i
     label, count = _position_orbits(dim, perms)
     dead = set()
     for g in diagonals:
+        # X[a, b] = 0 where the diagonal differs at a and b: each such position is read once
         diag = {r: v for r, _, v in g.triples}
-        dead.update(o for p, o in enumerate(label) if diag.get(p // dim, 0) != diag.get(p % dim, 0))
+        values = [diag.get(a, 0) for a in range(dim)]
+        cols = {value: [b for b, v in enumerate(values) if v != value] for value in set(values)}
+        for a, value in enumerate(values):
+            dead.update([label[a * dim + b] for b in cols[value]])
     label = [-1 if o in dead else o for o in label]
 
     def rows() -> Iterator[dict[int, int | Fraction]]:

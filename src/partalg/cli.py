@@ -11,7 +11,8 @@ and returns (documents, exit code), and a formatter that turns one document
 into its plain-text lines.  The parser, `parse` and `execute` are written
 once over that table, and `execute` is the only place that prints: one
 compact JSON line per document with --json, otherwise the formatter's
-lines.  Adding a subcommand means adding one entry.
+lines.  Adding a subcommand means adding one entry.  A call builds the
+parser of its own entry only and imports only the modules that entry runs.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
 
-from . import centralizer, diagram, rational, rep, seqmodel, setpart
+import partalg
 
 __all__ = ["Command", "UsageError", "parse", "execute", "main"]
 
@@ -46,25 +46,42 @@ class _Spec(NamedTuple):
     format: Callable[[dict], list[str]]
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _Retry(Exception):
+    """A usage error met by `_build_parser(only)`, the tree of one command; `parse` reports it with the full tree."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Retry(message)
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
     # the help text is the docstring's first paragraph; the rest is for developers
-    p = argparse.ArgumentParser(prog="partalg", description=__doc__.split("\n\n")[0])
+    cls = argparse.ArgumentParser if only is None else _OneCommandParser
+    p = cls(prog="partalg", description=__doc__.split("\n\n")[0])
     groups = p.add_subparsers(dest="group", required=True)
     actions = {}
-    for name, spec in _COMMANDS.items():
+    for name in [only] if only else _COMMANDS:
         group, action = name.split(" ")
         if group not in actions:
             actions[group] = groups.add_parser(group).add_subparsers(dest="action", required=True)
         sp = actions[group].add_parser(action)
         sp.add_argument("--json", action="store_true", help="one JSON document per result line")
-        for flag, kwargs in spec.flags.items():
+        for flag, kwargs in _COMMANDS[name].flags.items():
             sp.add_argument(flag, **kwargs)
     return p
 
 
 def parse(argv: list[str]) -> Command:
-    """Parse and semantically validate one invocation; a ValueError is a UsageError."""
-    ns = _build_parser().parse_args(argv)
+    """Parse and semantically validate one invocation; a ValueError is a UsageError.
+
+    Only the command that argv[:2] names gets a parser; on a usage error the full tree parses again.
+    """
+    only = " ".join(argv[:2])
+    try:
+        ns = _build_parser(only if only in _COMMANDS else None).parse_args(argv)
+    except _Retry:
+        ns = _build_parser().parse_args(argv)
     name = f"{ns.group} {ns.action}"
     try:
         payload = _COMMANDS[name].validate(ns)
@@ -114,15 +131,15 @@ def _positive(ns: argparse.Namespace, *flags: str) -> None:
         raise UsageError(f"{names} must be {what}")
 
 
-def _parse_pi(text: str, k: int | None) -> setpart.SetPartition:
+def _parse_pi(text: str, k: int | None) -> partalg.setpart.SetPartition:
     try:
-        return setpart.parse_text(text, ground_size=k)
+        return partalg.setpart.parse_text(text, ground_size=k)
     except ValueError as err:
         raise UsageError(f"invalid partition text {text!r}: {err}") from None
 
 
-def _parse_ratio(text: str) -> seqmodel.GeometricWeights:
-    return seqmodel.GeometricWeights(rational.parse_frac(text))
+def _parse_ratio(text: str) -> partalg.seqmodel.GeometricWeights:
+    return partalg.seqmodel.GeometricWeights(partalg.rational.parse_frac(text))
 
 
 def _parse_tuple(text: str) -> tuple[int, ...]:
@@ -136,7 +153,7 @@ def _parse_tuple(text: str) -> tuple[int, ...]:
 
 
 def _truncations(ns: argparse.Namespace) -> tuple[int, ...]:
-    truncs = tuple(ns.trunc) if ns.trunc else (seqmodel.DEFAULT_TRUNC_SMALL, seqmodel.DEFAULT_TRUNC_LARGE)
+    truncs = tuple(ns.trunc or (partalg.seqmodel.DEFAULT_TRUNC_SMALL, partalg.seqmodel.DEFAULT_TRUNC_LARGE))
     if any(t < 1 for t in truncs):
         raise UsageError("--trunc values must be positive")
     return truncs
@@ -153,19 +170,19 @@ def _check_n_k(ns):
 
 
 def _check_multiply(ns):
-    lhs = diagram.parse_diagram(ns.lhs, ns.k)
+    lhs = partalg.diagram.parse_diagram(ns.lhs, ns.k)
     if ns.rhs is None:
         raise UsageError("--rhs is required")
-    return {"lhs": lhs, "rhs": diagram.parse_diagram(ns.rhs, lhs.k)}
+    return {"lhs": lhs, "rhs": partalg.diagram.parse_diagram(ns.rhs, lhs.k)}
 
 
 def _check_rep_matrix(ns):
     _positive(ns, "n")
-    return {"d": diagram.parse_diagram(ns.diagram, ns.k), "n": ns.n}
+    return {"d": partalg.diagram.parse_diagram(ns.diagram, ns.k), "n": ns.n}
 
 
 def _check_rep_entry(ns):
-    d = diagram.parse_diagram(ns.diagram, ns.k)
+    d = partalg.diagram.parse_diagram(ns.diagram, ns.k)
     top, bottom = _parse_tuple(ns.top), _parse_tuple(ns.bottom)
     if len(top) != d.k or len(bottom) != d.k:
         raise UsageError(f"--top and --bottom must have length k={d.k}")
@@ -178,7 +195,7 @@ def _check_inv_vector(ns):
 
 
 def _check_inv_act(ns):
-    d = diagram.parse_diagram(ns.diagram, ns.k)
+    d = partalg.diagram.parse_diagram(ns.diagram, ns.k)
     pi = _parse_pi(ns.pi, d.k)
     if ns.n < d.k:
         raise UsageError(f"--n must be at least k={d.k} for a full monomial basis")
@@ -202,53 +219,54 @@ def _check_partitions(ns):
 
 
 def _run_multiply(lhs, rhs):
-    elem = diagram.AlgebraElement.from_diagram
-    return diagram.multiply(elem(lhs), elem(rhs)).to_json_terms(), 0
+    elem = partalg.diagram.AlgebraElement.from_diagram
+    return partalg.diagram.multiply(elem(lhs), elem(rhs)).to_json_terms(), 0
 
 
 def _run_classify(d, weights):
     doc = {
         "diagram": d.to_text(),
-        "uniform": diagram.is_uniform(d),
-        "top_propagating": diagram.is_top_propagating(d),
-        "bottom_propagating": diagram.is_bottom_propagating(d),
-        "lp_bounded": seqmodel.classify_lp_bounded(d, weights),
-        "linf_bounded": seqmodel.classify_linf_bounded(d),
-        "column_finite": seqmodel.classify_column_finite(d),
+        "uniform": partalg.diagram.is_uniform(d),
+        "top_propagating": partalg.diagram.is_top_propagating(d),
+        "bottom_propagating": partalg.diagram.is_bottom_propagating(d),
+        "lp_bounded": partalg.seqmodel.classify_lp_bounded(d, weights),
+        "linf_bounded": partalg.seqmodel.classify_linf_bounded(d),
+        "column_finite": partalg.seqmodel.classify_column_finite(d),
     }
     return [doc], 0
 
 
 def _run_schur_weyl(n, k):
-    report = centralizer.verify_schur_weyl(n, k)
+    report = partalg.centralizer.verify_schur_weyl(n, k)
     return [report.to_json()], 0 if report.surjectivity_verdict and report.double_commutant_verdict else 1
 
 
 def _run_enumerate(k, subset):
-    rep.check_diagram_count("diagrams enumerate", k)
-    return ({"diagram": d.to_text()} for d in diagram.enumerate_diagrams(k, subset)), 0
+    partalg.rep.check_diagram_count("diagrams enumerate", k)
+    return ({"diagram": d.to_text()} for d in partalg.diagram.enumerate_diagrams(k, subset)), 0
 
 
 def _run_closure(k):
-    rep.check_diagram_count("closure", k)
-    families: dict[str, set] = {subset: set() for subset in diagram._SUBSET_PREDICATES}
-    for d in diagram.enumerate_diagrams(k):
-        for subset, pred in diagram._SUBSET_PREDICATES.items():
+    partalg.rep.check_diagram_count("closure", k)
+    families: dict[str, set] = {subset: set() for subset in partalg.diagram._SUBSET_PREDICATES}
+    for d in partalg.diagram.enumerate_diagrams(k):
+        for subset, pred in partalg.diagram._SUBSET_PREDICATES.items():
             if pred(d):
                 families[subset].add(d)
-    doc: dict = {"k": k} | {subset: diagram.closed_under_product(members) for subset, members in families.items()}
+    doc: dict = {"k": k} | {s: partalg.diagram.closed_under_product(m) for s, m in families.items()}
     return [doc], 0 if doc["uniform"] and doc["top"] and doc["bottom"] else 1
 
 
 def _run_classification(k, weights):
-    m = rep.check_diagram_count("classification", k)
-    trunc = seqmodel.DEFAULT_TRUNC_LARGE
-    rep.check_budget(m * trunc**k, f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} diagrams")
+    m = partalg.rep.check_diagram_count("classification", k)
+    trunc = partalg.seqmodel.DEFAULT_TRUNC_LARGE
+    what = f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} diagrams"
+    partalg.rep.check_budget(m * trunc**k, what)
     lp_ok = linf_ok = col_ok = True
-    for d in diagram.enumerate_diagrams(k):
-        lp_ok = lp_ok and seqmodel.classify_lp_bounded(d, weights) == diagram.is_uniform(d)
-        linf_ok = linf_ok and seqmodel.classify_linf_bounded(d) == diagram.is_bottom_propagating(d)
-        col_ok = col_ok and seqmodel.classify_column_finite(d) == diagram.is_top_propagating(d)
+    for d in partalg.diagram.enumerate_diagrams(k):
+        lp_ok = lp_ok and partalg.seqmodel.classify_lp_bounded(d, weights) == partalg.diagram.is_uniform(d)
+        linf_ok = linf_ok and partalg.seqmodel.classify_linf_bounded(d) == partalg.diagram.is_bottom_propagating(d)
+        col_ok = col_ok and partalg.seqmodel.classify_column_finite(d) == partalg.diagram.is_top_propagating(d)
     doc = {
         "k": k,
         "lp_matches_uniform": lp_ok,
@@ -259,14 +277,14 @@ def _run_classification(k, weights):
 
 
 def _run_inv_vector(pi, n):
-    inv = seqmodel.monomial_vector(pi, n)
-    support = [list(rep.unrank_tuple(r, inv.n, inv.k)) for r in inv.support()]
+    inv = partalg.seqmodel.monomial_vector(pi, n)
+    support = [list(partalg.rep.unrank_tuple(r, inv.n, inv.k)) for r in inv.support()]
     return [{"pi": inv.pi.to_text(), "n": inv.n, "k": inv.k, "support": support}], 0
 
 
 def _run_inv_act(d, pi, n):
-    terms = seqmodel.act_on_invariants(d, pi, n).items()
-    return [{"tau": tau.to_text(), "coeff": rational.frac_str(c)} for tau, c in terms], 0
+    terms = partalg.seqmodel.act_on_invariants(d, pi, n).items()
+    return [{"tau": tau.to_text(), "coeff": partalg.rational.frac_str(c)} for tau, c in terms], 0
 
 
 # Plain-text formatters -----------------------------------------------------
@@ -283,7 +301,7 @@ def _field(key: str) -> Callable[[dict], list[str]]:
 
 
 def _format_term(term: dict) -> list[str]:
-    poly = diagram.Poly(tuple(Fraction(c) for c in term["coeff"]))
+    poly = partalg.diagram.Poly(tuple(term["coeff"]))
     return [f"({poly.pretty()}) * {term['diagram']}"]
 
 
@@ -291,7 +309,7 @@ def _format_matrix(doc: dict) -> list[str]:
     dim, triples = doc["dim"], doc["triples"]
     if dim > 32:
         return [f"{r} {c} {v}" for r, c, v in triples]
-    rows = [[rational.frac_str(0)] * dim for _ in range(dim)]
+    rows = [[partalg.rational.frac_str(0)] * dim for _ in range(dim)]
     for r, c, v in triples:
         rows[r][c] = v
     return [" ".join(row) for row in rows]
@@ -316,21 +334,21 @@ _COMMANDS: dict[str, _Spec] = {
     ),
     "diagrams classify": _Spec(
         {"--k": {"type": int}, "--diagram": {"required": True}, "--ratio": {"default": "1/2"}},
-        lambda ns: {"d": diagram.parse_diagram(ns.diagram, ns.k), "weights": _parse_ratio(ns.ratio)},
+        lambda ns: {"d": partalg.diagram.parse_diagram(ns.diagram, ns.k), "weights": _parse_ratio(ns.ratio)},
         _run_classify,
         _fields,
     ),
     "rep matrix": _Spec(
         {"--k": {"type": int}, "--n": {"type": int, "required": True}, "--diagram": {"required": True}},
         _check_rep_matrix,
-        lambda d, n: ([rep.matrix(d, n).to_json()], 0),
+        lambda d, n: ([partalg.rep.matrix(d, n).to_json()], 0),
         _format_matrix,
     ),
     "rep entry": _Spec(
         {"--k": {"type": int}, "--diagram": {"required": True}, "--top": {"required": True},
          "--bottom": {"required": True}},
         _check_rep_entry,
-        lambda d, top, bottom: ([{"entry": rep.entry(d, top, bottom)}], 0),
+        lambda d, top, bottom: ([{"entry": partalg.rep.entry(d, top, bottom)}], 0),
         _field("entry"),
     ),
     "verify schur-weyl": _Spec(
@@ -349,21 +367,21 @@ _COMMANDS: dict[str, _Spec] = {
     "norms lp": _Spec(
         {"--k": {"type": int}, "--diagram": {"required": True}, "--trunc": {"type": int, "action": "append"},
          "--ratio": {"default": "1/2"}},
-        lambda ns: {"d": diagram.parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns),
+        lambda ns: {"d": partalg.diagram.parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns),
                     "weights": _parse_ratio(ns.ratio)},
-        lambda d, truncations, weights: ([seqmodel.lp_norm_profile(d, weights, truncations).to_json()], 0),
+        lambda d, truncations, weights: ([partalg.seqmodel.lp_norm_profile(d, weights, truncations).to_json()], 0),
         lambda doc: doc["norms"],
     ),
     "norms linf": _Spec(
         {"--k": {"type": int}, "--diagram": {"required": True}, "--trunc": {"type": int, "action": "append"}},
-        lambda ns: {"d": diagram.parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns)},
-        lambda d, truncations: ([seqmodel.linf_norm_profile(d, truncations).to_json()], 0),
+        lambda ns: {"d": partalg.diagram.parse_diagram(ns.diagram, ns.k), "truncations": _truncations(ns)},
+        lambda d, truncations: ([partalg.seqmodel.linf_norm_profile(d, truncations).to_json()], 0),
         lambda doc: doc["norms"],
     ),
     "invariants dim": _Spec(
         {"--k": {"type": int, "required": True}, "--n": {"type": int, "required": True}},
         _check_n_k,
-        lambda n, k: ([{"n": n, "k": k, "dim": seqmodel.invariant_dim(n, k)}], 0),
+        lambda n, k: ([{"n": n, "k": k, "dim": partalg.seqmodel.invariant_dim(n, k)}], 0),
         _field("dim"),
     ),
     "invariants vector": _Spec(
@@ -382,14 +400,14 @@ _COMMANDS: dict[str, _Spec] = {
     "count bell": _Spec(
         {"--g": {"type": int, "required": True}},
         _check_g,
-        lambda g: ([{"g": g, "count": setpart.bell_number(g)}], 0),
+        lambda g: ([{"g": g, "count": partalg.setpart.bell_number(g)}], 0),
         _field("count"),
     ),
     "count partitions": _Spec(
         {"--g": {"type": int, "required": True}, "--max-blocks": {"type": int}},
         _check_partitions,
         lambda g, max_blocks: (
-            [{"g": g, "max_blocks": max_blocks, "count": setpart.count_partitions(g, max_blocks)}], 0
+            [{"g": g, "max_blocks": max_blocks, "count": partalg.setpart.count_partitions(g, max_blocks)}], 0
         ),
         _field("count"),
     ),

@@ -474,6 +474,22 @@ def test_every_permutation_matrix_is_zero_on_the_dead_orbits():
                 assert all(label[r * dim + c] >= 0 for r, c, _ in perm_matrix(PermWord(images), k).triples), (n, k, images)
 
 
+@settings(max_examples=80, deadline=None)
+@given(dim=st.integers(1, 6), data=st.data())
+def test_one_dead_position_kills_its_whole_orbit(dim, data):
+    # commutant_dimension takes any diagonal, constant on the orbits or not
+    perms = data.draw(st.lists(st.permutations(range(dim)), max_size=2))
+    values = st.lists(st.sampled_from([0, 1, 2, Fraction(1, 2)]), min_size=dim, max_size=dim)
+    diagonals = data.draw(st.lists(values, min_size=1, max_size=2))
+    gens = [SparseMat(dim, [(r, c, 1) for r, c in enumerate(s)]) for s in perms]
+    gens += [SparseMat(dim, [(a, a, v) for a, v in enumerate(diag)]) for diag in diagonals]
+    _, live, label, _ = centralizer._commutant_system(gens)
+    orbit, count = centralizer._position_orbits(dim, perms)
+    dead = {orbit[a * dim + b] for diag in diagonals for a in range(dim) for b in range(dim) if diag[a] != diag[b]}
+    assert label == [-1 if o in dead else o for o in orbit]
+    assert live == count - len(dead)
+
+
 def test_the_place_orbits_are_labelled_once_per_commutant(monkeypatch):
     calls = []
     orbits = centralizer._position_orbits
