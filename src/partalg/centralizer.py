@@ -22,7 +22,6 @@ metered by its echelon.  Over the limit, either raises `BudgetExceededError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import factorial, gcd, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -30,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from . import rep
 from .diagram import enumerate_diagrams, partition_algebra_generators
 from .rep import BudgetExceededError, PermWord, SparseMat, check_budget, check_diagram_count, matrix, perm_matrix
-from .setpart import _stirling_row, count_partitions
+from .setpart import _Record, _stirling_row, count_partitions
 
 __all__ = [
     "BudgetExceededError",
@@ -503,18 +502,18 @@ def perm_span_expected(n: int, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Exact dimension bookkeeping for one (n, k) centralizer check."""
 
-    n: int
-    k: int
-    centralizer_dim: int
-    diagram_span_rank: int
-    commutant_of_perms_dim: int
-    perm_span_dim: int
-    commutant_of_diagrams_dim: int
-    perm_span_expected: int
+    __slots__ = __match_args__ = (
+        "n", "k", "centralizer_dim", "diagram_span_rank", "commutant_of_perms_dim", "perm_span_dim",
+        "commutant_of_diagrams_dim", "perm_span_expected",
+    )
+
+    def __init__(self, n: int, k: int, centralizer_dim: int, diagram_span_rank: int, commutant_of_perms_dim: int,
+                 perm_span_dim: int, commutant_of_diagrams_dim: int, perm_span_expected: int):
+        self._set_fields(n, k, centralizer_dim, diagram_span_rank, commutant_of_perms_dim, perm_span_dim,
+                         commutant_of_diagrams_dim, perm_span_expected)
 
     @property
     def surjectivity_verdict(self) -> bool:
@@ -533,7 +532,7 @@ class VerificationReport:
 
     def to_json(self) -> dict:
         # the closed form is printed only through the double-commutant verdict
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "perm_span_expected"}
+        doc = {f: getattr(self, f) for f in self.__match_args__ if f != "perm_span_expected"}
         return doc | {
             "surjectivity_verdict": self.surjectivity_verdict,
             "double_commutant_verdict": self.double_commutant_verdict,

@@ -13,14 +13,14 @@ once over that table, and `execute` is the only place that prints: one
 compact JSON line per document with --json, otherwise the formatter's
 lines.  Adding a subcommand means adding one entry.  A call builds the
 parser of its own entry only and imports only the modules that entry runs.
+The value classes are plain slotted classes, so no call imports the
+standard library's record decorator or `inspect`; only --json imports `json`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import partalg
@@ -32,11 +32,23 @@ class UsageError(ValueError):
     """Invalid invocation: bad flag combination or malformed input text."""
 
 
-@dataclass
 class Command:
-    name: str
-    payload: dict
-    json_mode: bool
+    """One parsed invocation: the `_COMMANDS` key, the validated payload and the --json flag."""
+
+    __slots__ = ("name", "payload", "json_mode")
+
+    def __init__(self, name: str, payload: dict, json_mode: bool):
+        self.name = name
+        self.payload = payload
+        self.json_mode = json_mode
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.payload, self.json_mode) == (other.name, other.payload, other.json_mode)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Command(name={self.name!r}, payload={self.payload!r}, json_mode={self.json_mode!r})"
 
 
 class _Spec(NamedTuple):
@@ -94,6 +106,8 @@ def execute(cmd: Command) -> int:
     """Run a parsed command and print its documents; returns the exit code."""
     spec = _COMMANDS[cmd.name]
     docs, code = spec.run(**cmd.payload)
+    if cmd.json_mode:
+        import json  # only --json output needs it
     for doc in docs:
         for line in [json.dumps(doc, separators=(",", ":"))] if cmd.json_mode else spec.format(doc):
             print(line)

@@ -10,14 +10,12 @@ middle, so coefficients are polynomials in that parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from . import setpart
 from .rational import frac_str
-from .setpart import DisjointSets, SetPartition
+from .setpart import DisjointSets, SetPartition, _Record
 
 __all__ = [
     "Diagram",
@@ -40,29 +38,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(_Record):
     """A set partition of k top and k bottom vertices."""
 
-    k: int
-    part: SetPartition
+    __slots__ = ("k", "part", "_block_rows")
+    __match_args__ = ("k", "part")
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, k: int, part: SetPartition):
+        if k < 1:
             raise ValueError("k must be a positive integer")
-        if self.part.ground_size != 2 * self.k:
-            raise ValueError(
-                f"partition covers {self.part.ground_size} vertices, expected {2 * self.k}"
-            )
+        if part.ground_size != 2 * k:
+            raise ValueError(f"partition covers {part.ground_size} vertices, expected {2 * k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "part", part)
 
-    @cached_property
+    @property
     def block_rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per block, in block order: its top positions and its bottom positions, 0-based in each row."""
-        k = self.k
-        return tuple(
-            (tuple(v for v in block if v < k), tuple(v - k for v in block if v >= k))
-            for block in self.part.blocks
-        )
+        try:
+            return self._block_rows
+        except AttributeError:
+            k = self.k
+            rows = tuple(
+                (tuple(v for v in block if v < k), tuple(v - k for v in block if v >= k))
+                for block in self.part.blocks
+            )
+            object.__setattr__(self, "_block_rows", rows)
+            return rows
 
     def to_text(self) -> str:
         return self.part.to_text(top_size=self.k)
@@ -248,17 +250,16 @@ def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int) -> tuple[SetP
     return setpart.from_labels(labels), len(middle_only)
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(_Record):
     """Polynomial in the loop parameter with exact rational coefficients.
 
     Coefficients are stored by ascending power with no trailing zeros.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = __match_args__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = tuple(Fraction(c) for c in self.coeffs)
+    def __init__(self, coeffs: Iterable):
+        cs = tuple(Fraction(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -438,29 +439,24 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.k, terms)
 
 
-@dataclass(frozen=True)
-class RectDiagram:
+class RectDiagram(_Record):
     """A diagram with k top and l bottom vertices, no block inside the top row.
 
     These compose only when the inner shapes agree; a shape mismatch is a
     genuine zero, returned as None by rect_compose.
     """
 
-    k_top: int
-    l_bottom: int
-    part: SetPartition
+    __slots__ = __match_args__ = ("k_top", "l_bottom", "part")
 
-    def __post_init__(self):
-        if self.k_top < 0 or self.l_bottom < 0:
+    def __init__(self, k_top: int, l_bottom: int, part: SetPartition):
+        if k_top < 0 or l_bottom < 0:
             raise ValueError("row sizes must be non-negative")
-        if self.part.ground_size != self.k_top + self.l_bottom:
-            raise ValueError(
-                f"partition covers {self.part.ground_size} vertices, "
-                f"expected {self.k_top + self.l_bottom}"
-            )
-        for block in self.part.blocks:
-            if all(v < self.k_top for v in block):
+        if part.ground_size != k_top + l_bottom:
+            raise ValueError(f"partition covers {part.ground_size} vertices, expected {k_top + l_bottom}")
+        for block in part.blocks:
+            if all(v < k_top for v in block):
                 raise ValueError(f"block {block} is isolated to the top row")
+        self._set_fields(k_top, l_bottom, part)
 
     def to_text(self) -> str:
         return f"{self.k_top},{self.l_bottom}:{self.part.to_text(top_size=self.k_top)}"

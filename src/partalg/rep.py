@@ -12,13 +12,12 @@ allocates no number per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .diagram import AlgebraElement, Diagram
 from .rational import frac_str
-from .setpart import SetPartition, bell_number, orbit_partition, refines
+from .setpart import SetPartition, _Record, bell_number, orbit_partition, refines
 
 __all__ = [
     "BudgetExceededError",
@@ -233,17 +232,16 @@ def matrix(d: Diagram, n: int) -> SparseMat:
     return SparseMat._trusted(dim, tuple([(p // dim, p % dim, _ONE) for p in _constant_ranks(d.part, n)]))
 
 
-@dataclass(frozen=True)
-class PermWord:
+class PermWord(_Record):
     """A permutation of {1, ..., n} stored by its image word."""
 
-    images: tuple[int, ...]
+    __slots__ = __match_args__ = ("images",)
 
-    def __post_init__(self):
-        images = tuple(self.images)
-        object.__setattr__(self, "images", images)
+    def __init__(self, images: Sequence[int]):
+        images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"{images!r} is not a bijection of 1..{len(images)}")
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:

@@ -12,7 +12,6 @@ block; the weighted l1 norm still scans trunc^k tuples.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -21,7 +20,7 @@ from typing import Callable, Sequence
 from .diagram import Diagram, concat, flip
 from .rational import frac_str
 from .rep import _constant_ranks, check_budget, matrix
-from .setpart import SetPartition, count_partitions
+from .setpart import SetPartition, _Record, count_partitions
 
 __all__ = [
     "GeometricWeights",
@@ -44,17 +43,16 @@ DEFAULT_TRUNC_SMALL = 4
 DEFAULT_TRUNC_LARGE = 8
 
 
-@dataclass(frozen=True)
-class GeometricWeights:
+class GeometricWeights(_Record):
     """Summable weights mu_i = ratio^i with 0 < ratio < 1."""
 
-    ratio: Fraction = DEFAULT_RATIO
+    __slots__ = __match_args__ = ("ratio",)
 
-    def __post_init__(self):
-        r = Fraction(self.ratio)
-        object.__setattr__(self, "ratio", r)
+    def __init__(self, ratio: Fraction | int | str = DEFAULT_RATIO):
+        r = Fraction(ratio)
         if not 0 < r < 1:
             raise ValueError(f"ratio must lie strictly between 0 and 1, got {r}")
+        object.__setattr__(self, "ratio", r)
 
     def mu(self, i: int) -> Fraction:
         if i < 1:
@@ -151,15 +149,14 @@ def classify_column_finite(d: Diagram) -> bool:
     return _stable(lambda t: linf_matrix_norm(flip(d), t))
 
 
-@dataclass(frozen=True)
-class NormProfile:
+class NormProfile(_Record):
     """Exact norms of one diagram across a list of truncation sizes."""
 
-    diagram: Diagram
-    truncations: tuple[int, ...]
-    norms: tuple[Fraction, ...]
-    divergent: bool
-    ratio: Fraction | None = None
+    __slots__ = __match_args__ = ("diagram", "truncations", "norms", "divergent", "ratio")
+
+    def __init__(self, diagram: Diagram, truncations: tuple[int, ...], norms: tuple[Fraction, ...], divergent: bool,
+                 ratio: Fraction | None = None):
+        self._set_fields(diagram, truncations, norms, divergent, ratio)
 
     def to_json(self) -> dict:
         doc = {
@@ -198,13 +195,13 @@ def linf_norm_profile(d: Diagram, truncations: Sequence[int]) -> NormProfile:
     return _profile(d, truncations, lambda t: linf_matrix_norm(d, t))
 
 
-@dataclass(frozen=True)
-class MonomialInvariant:
+class MonomialInvariant(_Record):
     """The 0/1 vector over [n]^k that is 1 where pi refines the tuple's orbit type."""
 
-    pi: SetPartition
-    n: int
-    vector: tuple[int, ...]
+    __slots__ = __match_args__ = ("pi", "n", "vector")
+
+    def __init__(self, pi: SetPartition, n: int, vector: tuple[int, ...]):
+        self._set_fields(pi, n, vector)
 
     @property
     def k(self) -> int:

@@ -9,8 +9,7 @@ hashing and lexicographic ordering reduce to tuple comparisons.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -29,15 +28,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SetPartition:
+class _Record:
+    """Frozen value semantics for the package's slotted classes, with no generated code.
+
+    A subclass names its fields, in order, in `__match_args__` and sets each once in `__init__` with
+    `object.__setattr__` or `_set_fields`.  Instances of one class are equal when their field tuples are, hash as that
+    tuple, print as `Name(field=value, ...)`, pickle and copy through the constructor, and refuse
+    assignment and deletion.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        # equality and hash close over the class's field getter, which reads every field in one C call
+        super().__init_subclass__(**kwargs)
+        key = attrgetter(*cls.__match_args__)  # the field tuple; with one field, the bare value
+        one = len(cls.__match_args__) == 1
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((key(self),) if one else key(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def _set_fields(self, *values) -> None:
+        """Set every field once, in `__match_args__` order: the `__init__` of a record with no checks."""
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self.__match_args__, self._astuple()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class SetPartition(_Record):
     """A set partition of {0, ..., g-1} in canonical RGS form."""
 
-    rgs: tuple[int, ...]
+    __slots__ = ("rgs", "_blocks")
+    __match_args__ = ("rgs",)
 
-    def __post_init__(self):
-        rgs = tuple(self.rgs)
-        object.__setattr__(self, "rgs", rgs)
+    def __init__(self, rgs: Sequence[int]):
+        rgs = tuple(rgs)
         top = -1
         for t, lab in enumerate(rgs):
             if not isinstance(lab, int) or lab < 0:
@@ -46,6 +94,14 @@ class SetPartition:
                 raise ValueError(f"rgs[{t}] = {lab} breaks restricted growth")
             if lab == top + 1:
                 top = lab
+        object.__setattr__(self, "rgs", rgs)
+
+    @classmethod
+    def _trusted(cls, rgs: tuple[int, ...]) -> "SetPartition":
+        """Wrap a tuple that is already a restricted-growth string, without checking it again."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "rgs", rgs)
+        return p
 
     @property
     def ground_size(self) -> int:
@@ -55,12 +111,17 @@ class SetPartition:
     def num_blocks(self) -> int:
         return max(self.rgs) + 1 if self.rgs else 0
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for v, lab in enumerate(self.rgs):
-            out[lab].append(v)
-        return tuple(tuple(b) for b in out)
+        try:
+            return self._blocks
+        except AttributeError:
+            out: list[list[int]] = [[] for _ in range(self.num_blocks)]
+            for v, lab in enumerate(self.rgs):
+                out[lab].append(v)
+            blocks = tuple(tuple(b) for b in out)
+            object.__setattr__(self, "_blocks", blocks)
+            return blocks
 
     def to_text(self, top_size: int | None = None) -> str:
         """Block text form; vertices past top_size print as primed labels."""
@@ -98,7 +159,7 @@ class DisjointSets:
 def from_labels(labels: Sequence[int]) -> SetPartition:
     """Canonicalize an arbitrary labelling (equal label = same block)."""
     relabel: dict[int, int] = {}
-    return SetPartition(tuple(relabel.setdefault(lab, len(relabel)) for lab in labels))
+    return SetPartition._trusted(tuple([relabel.setdefault(lab, len(relabel)) for lab in labels]))
 
 
 def from_blocks(ground_size: int, blocks: Iterable[Iterable[int]]) -> SetPartition:
@@ -141,14 +202,14 @@ def enumerate_partitions(ground_size: int, max_blocks: int | None = None) -> Ite
     if max_blocks is not None and max_blocks < 1:
         raise ValueError("max_blocks must be at least 1")
     if ground_size == 0:
-        yield SetPartition(())
+        yield SetPartition._trusted(())
         return
     cap = ground_size if max_blocks is None else min(max_blocks, ground_size)
     rgs = [0] * ground_size
 
     def rec(t: int, used: int) -> Iterator[SetPartition]:
         if t == ground_size:
-            yield SetPartition(tuple(rgs))
+            yield SetPartition._trusted(tuple(rgs))
             return
         for v in range(min(used + 1, cap)):
             rgs[t] = v

@@ -1,4 +1,4 @@
-"""The package's exports, and which submodules `import partalg` and each CLI command load."""
+"""The package's exports, and which modules `import partalg` and each CLI command load."""
 
 from __future__ import annotations
 
@@ -49,17 +49,25 @@ def test_every_export_is_the_object_of_its_defining_module():
         partalg.nonesuch  # noqa: B018
 
 
-def _partalg_modules_after(code: str) -> set[str]:
-    """The partalg modules loaded in a fresh interpreter once `code` has run."""
+# stdlib modules no command needs: `dataclasses` pulls in `inspect`, and only --json output needs `json`
+HEAVY = {"dataclasses", "inspect", "json"}
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded in a fresh interpreter once `code` has run."""
     # the child imports the same partalg as this process, installed or not
     src = str(Path(partalg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    script = f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.startswith('partalg')))"
+    script = f"import sys\n{code}\nprint(*sorted(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
+
+
+def _partalg_modules_after(code: str) -> set[str]:
+    return {m for m in _modules_after(code) if m.startswith("partalg")}
 
 
 def test_import_partalg_loads_no_submodule_until_one_is_used():
@@ -81,6 +89,16 @@ def test_import_partalg_loads_no_submodule_until_one_is_used():
     ],
 )
 def test_a_command_loads_only_the_modules_it_runs(argv, used, unused):
-    loaded = _partalg_modules_after(f"from partalg.cli import main\nassert main({argv!r}) == 0")
+    loaded = _modules_after(f"from partalg.cli import main\nassert main({argv!r}) == 0")
     assert f"partalg.{used}" in loaded
     assert loaded & {f"partalg.{m}" for m in unused} == set()
+    assert loaded & HEAVY == set()
+
+
+@pytest.mark.parametrize(
+    "argv", [["count", "bell", "--g", "5"], ["diagrams", "multiply", "--lhs", "1,1'|2,2'", "--rhs", "1,2|1',2'"]]
+)
+def test_json_is_loaded_only_for_json_output(argv):
+    for flags, loaded in [([], set()), (["--json"], {"json"})]:
+        modules = _modules_after(f"from partalg.cli import main\nassert main({argv + flags!r}) == 0")
+        assert modules & HEAVY == loaded

@@ -5,6 +5,8 @@ import random
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from partalg.setpart import (
     SetPartition,
@@ -14,6 +16,7 @@ from partalg.setpart import (
     enumerate_partitions,
     from_blocks,
     from_edges,
+    from_labels,
     orbit_partition,
     parse_text,
     refines,
@@ -55,6 +58,20 @@ def test_rgs_canonical_form_is_validated():
         SetPartition((0, 2))
     with pytest.raises(ValueError):
         SetPartition((0, -1))
+
+
+@given(st.lists(st.integers(-3, 6), max_size=12))
+def test_from_labels_output_equals_the_validated_partition(labels):
+    # from_labels skips the RGS check; the public constructor re-checks its output here
+    p = from_labels(labels)
+    assert p == SetPartition(list(p.rgs)) and hash(p) == hash(SetPartition(p.rgs))
+    assert all((p.rgs[a] == p.rgs[b]) == (labels[a] == labels[b]) for a, b in product(range(len(labels)), repeat=2))
+
+
+def test_enumerated_partitions_equal_the_validated_ones():
+    for g in range(7):
+        for cap in (None, 1, 2, 3):
+            assert all(p == SetPartition(p.rgs) for p in enumerate_partitions(g, max_blocks=cap))
 
 
 def test_blocks_and_sizes():
@@ -254,6 +271,8 @@ def test_parse_text_errors():
         parse_text("rgs:0,a")
     with pytest.raises(ValueError, match="does not match expected ground size"):
         parse_text("rgs:0,0,1", ground_size=4)
+    with pytest.raises(ValueError, match="breaks restricted growth"):
+        parse_text("rgs:0,2")
     with pytest.raises(ValueError, match="labels start at 1"):
         parse_text("0,1")
 
