@@ -262,11 +262,11 @@ def _run_enumerate(k, subset):
 
 def _run_closure(k):
     partalg.rep.check_diagram_count("closure", k)
-    families: dict[str, set] = {subset: set() for subset in partalg.diagram._SUBSET_PREDICATES}
+    families: dict[str, list] = {subset: [] for subset in partalg.diagram._SUBSET_PREDICATES}
     for d in partalg.diagram.enumerate_diagrams(k):
         for subset, pred in partalg.diagram._SUBSET_PREDICATES.items():
             if pred(d):
-                families[subset].add(d)
+                families[subset].append(d)
     doc: dict = {"k": k} | {s: partalg.diagram.closed_under_product(m) for s, m in families.items()}
     return [doc], 0 if doc["uniform"] and doc["top"] and doc["bottom"] else 1
 

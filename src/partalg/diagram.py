@@ -54,17 +54,20 @@ class Diagram(_Record):
 
     @property
     def block_rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """Per block, in block order: its top positions and its bottom positions, 0-based in each row."""
+        """Per block, in block order: its top positions and its bottom positions, 0-based in each row.
+
+        One pass over the RGS builds it, and it is the only reading of the blocks that is cached.
+        """
         try:
             return self._block_rows
         except AttributeError:
-            k = self.k
-            rows = tuple(
-                (tuple(v for v in block if v < k), tuple(v - k for v in block if v >= k))
-                for block in self.part.blocks
-            )
-            object.__setattr__(self, "_block_rows", rows)
-            return rows
+            rgs, k = self.part.rgs, self.k
+            rows: list[tuple[list[int], list[int]]] = [([], []) for _ in range(self.part.num_blocks)]
+            for side, labels in enumerate((rgs[:k], rgs[k:])):
+                for v, lab in enumerate(labels):
+                    rows[lab][side].append(v)
+            object.__setattr__(self, "_block_rows", tuple((tuple(tops), tuple(bots)) for tops, bots in rows))
+            return self._block_rows
 
     def to_text(self) -> str:
         return self.part.to_text(top_size=self.k)
@@ -453,9 +456,9 @@ class RectDiagram(_Record):
             raise ValueError("row sizes must be non-negative")
         if part.ground_size != k_top + l_bottom:
             raise ValueError(f"partition covers {part.ground_size} vertices, expected {k_top + l_bottom}")
-        for block in part.blocks:
-            if all(v < k_top for v in block):
-                raise ValueError(f"block {block} is isolated to the top row")
+        isolated = set(part.rgs[:k_top]).difference(part.rgs[k_top:])
+        if isolated:
+            raise ValueError(f"block {part.blocks[min(isolated)]} is isolated to the top row")
         self._set_fields(k_top, l_bottom, part)
 
     def to_text(self) -> str:

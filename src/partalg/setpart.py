@@ -3,14 +3,16 @@
 A partition of {0, ..., g-1} is stored as a restricted-growth string (RGS):
 entry t is the label of the block containing vertex t, blocks numbered in
 order of first appearance.  The RGS is unique per partition, so equality,
-hashing and lexicographic ordering reduce to tuple comparisons.
+hashing and lexicographic ordering reduce to tuple comparisons.  A
+`SetPartition` holds only its RGS; every other reading, its blocks too, is
+computed from it when asked for.
 """
 
 from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "SetPartition",
@@ -81,8 +83,7 @@ class _Record:
 class SetPartition(_Record):
     """A set partition of {0, ..., g-1} in canonical RGS form."""
 
-    __slots__ = ("rgs", "_blocks")
-    __match_args__ = ("rgs",)
+    __slots__ = __match_args__ = ("rgs",)
 
     def __init__(self, rgs: Sequence[int]):
         rgs = tuple(rgs)
@@ -113,24 +114,19 @@ class SetPartition(_Record):
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        try:
-            return self._blocks
-        except AttributeError:
-            out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-            for v, lab in enumerate(self.rgs):
-                out[lab].append(v)
-            blocks = tuple(tuple(b) for b in out)
-            object.__setattr__(self, "_blocks", blocks)
-            return blocks
+        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
+        for v, lab in enumerate(self.rgs):
+            out[lab].append(v)
+        return tuple(map(tuple, out))
 
     def to_text(self, top_size: int | None = None) -> str:
         """Block text form; vertices past top_size print as primed labels."""
-        t = self.ground_size if top_size is None else top_size
+        return "|".join(",".join(_vertex_name(v, top_size) for v in block) for block in self.blocks)
 
-        def tok(v: int) -> str:
-            return str(v + 1) if v < t else f"{v - t + 1}'"
 
-        return "|".join(",".join(tok(v) for v in block) for block in self.blocks)
+def _vertex_name(v: int, top_size: int | None) -> str:
+    """Vertex v as block text writes it: v + 1, or (v - top_size + 1)' from top_size on."""
+    return str(v + 1) if top_size is None or v < top_size else f"{v - top_size + 1}'"
 
 
 class DisjointSets:
@@ -164,6 +160,11 @@ def from_labels(labels: Sequence[int]) -> SetPartition:
 
 def from_blocks(ground_size: int, blocks: Iterable[Iterable[int]]) -> SetPartition:
     """Canonicalize an explicit block list covering {0, ..., ground_size-1}."""
+    return _from_blocks(ground_size, blocks, repr)
+
+
+def _from_blocks(ground_size: int, blocks: Iterable[Iterable[int]], name: Callable[[int], str]) -> SetPartition:
+    """`from_blocks`, with each vertex named as name(vertex) in its error messages."""
     if ground_size < 0:
         raise ValueError("ground size must be non-negative")
     # keyed by the given vertices, so a huge ground_size allocates nothing
@@ -172,13 +173,13 @@ def from_blocks(ground_size: int, blocks: Iterable[Iterable[int]]) -> SetPartiti
     for b_idx, block in enumerate(blocks):
         for v in block:
             if not isinstance(v, int) or not 0 <= v < ground_size:
-                raise ValueError(f"vertex {v!r} out of range for ground size {ground_size}")
+                raise ValueError(f"vertex {name(v)} out of range for ground size {ground_size}")
             if v in owner:
-                raise ValueError(f"vertex {v} appears in more than one block")
+                raise ValueError(f"vertex {name(v)} appears in more than one block")
             owner[v] = b_idx
     if len(owner) < ground_size:
         missing = next(v for v in range(ground_size) if v not in owner)
-        raise ValueError(f"vertex {missing} is missing from the blocks")
+        raise ValueError(f"vertex {name(missing)} is missing from the blocks")
     return from_labels([owner[v] for v in range(ground_size)])
 
 
@@ -322,24 +323,16 @@ def parse_text(text: str, top_size: int | None = None, ground_size: int | None =
                 f"rgs length {p.ground_size} does not match expected ground size {ground_size}"
             )
         return p
-    token_blocks = _parse_token_blocks(text)
     idx_blocks: list[list[int]] = []
-    bottom_max = 0
-    top_max = 0
-    for block in token_blocks:
+    for block in _parse_token_blocks(text):
         idx_block = []
         for label, primed in block:
-            if primed:
-                if top_size is None:
-                    raise ValueError(f"primed vertex {label}' is not allowed here")
-                idx_block.append(top_size + label - 1)
-                bottom_max = max(bottom_max, label)
-            else:
-                if top_size is not None and label > top_size:
-                    raise ValueError(f"vertex {label} exceeds top size {top_size}")
-                idx_block.append(label - 1)
-                top_max = max(top_max, label)
+            if primed and top_size is None:
+                raise ValueError(f"primed vertex {label}' is not allowed here")
+            if not primed and top_size is not None and label > top_size:
+                raise ValueError(f"vertex {label} exceeds top size {top_size}")
+            idx_block.append(top_size + label - 1 if primed else label - 1)
         idx_blocks.append(idx_block)
-    if ground_size is None:
-        ground_size = top_max if top_size is None else top_size + bottom_max
-    return from_blocks(ground_size, idx_blocks)
+    if ground_size is None:  # every block holds a vertex; the top row has top_size vertices, named or not
+        ground_size = max(top_size or 0, 1 + max(map(max, idx_blocks)))
+    return _from_blocks(ground_size, idx_blocks, lambda v: _vertex_name(v, top_size))

@@ -383,8 +383,8 @@ def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
 @pytest.mark.parametrize(
     "argv, missing",
     [
-        (["diagrams", "classify", "--k", "1000000000", "--diagram", "1,1'"], 1),
-        (["invariants", "vector", "--k", "1000000000", "--n", "2", "--pi", "1,2"], 2),
+        (["diagrams", "classify", "--k", "1000000000", "--diagram", "1,1'"], 2),
+        (["invariants", "vector", "--k", "1000000000", "--n", "2", "--pi", "1,2"], 3),
     ],
 )
 def test_a_huge_k_with_few_vertices_is_a_usage_error_at_once(capsys, argv, missing):

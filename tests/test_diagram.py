@@ -302,6 +302,34 @@ def test_flip_reverses_products_and_keeps_the_middle_count(pair):
     assert concat(flip(d2), flip(d1)) == (flip(product_12), middles)
 
 
+@st.composite
+def even_rgs(draw, max_k: int = 5) -> tuple[int, ...]:
+    k = draw(st.integers(1, max_k))
+    rgs: list[int] = []
+    for _ in range(2 * k):
+        rgs.append(draw(st.integers(0, max(rgs, default=-1) + 1)))
+    return tuple(rgs)
+
+
+def _readings_through_blocks(rgs: tuple[int, ...], k: int) -> tuple[tuple, tuple, str]:
+    # each block gathered by its label, then split at k and printed, one block at a time
+    blocks = tuple(tuple(v for v, lab in enumerate(rgs) if lab == b) for b in range(max(rgs) + 1))
+    rows = tuple((tuple(v for v in b if v < k), tuple(v - k for v in b if v >= k)) for b in blocks)
+    text = "|".join(",".join(str(v + 1) if v < k else f"{v - k + 1}'" for v in b) for b in blocks)
+    return blocks, rows, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(rgs=even_rgs())
+def test_blocks_block_rows_and_text_read_from_the_rgs_match_the_block_oracle(rgs):
+    k = len(rgs) // 2
+    d = Diagram(k, SetPartition(rgs))
+    blocks, rows, text = _readings_through_blocks(rgs, k)
+    assert (d.part.blocks, d.block_rows, d.to_text()) == (blocks, rows, text)
+    assert d.part.to_text() == "|".join(",".join(str(v + 1) for v in b) for b in blocks)
+    assert parse_diagram(text, k) == d
+
+
 def _uniform_by_scan(d: Diagram) -> bool:
     return all(2 * sum(1 for v in block if v < d.k) == len(block) for block in d.part.blocks)
 
@@ -466,6 +494,23 @@ def test_rect_diagram_constraint():
     RectDiagram(1, 2, from_blocks(3, [[0, 1], [2]]))
     with pytest.raises(ValueError):
         RectDiagram(1, 1, from_blocks(3, [[0, 1, 2]]))
+
+
+def test_rect_diagram_refuses_the_first_top_only_block_in_block_order():
+    # blocks (0, 4), (1, 3), (2,): the first one isolated to the top row of 4 is named, 0-based
+    with pytest.raises(ValueError, match=r"^block \(1, 3\) is isolated to the top row$"):
+        RectDiagram(4, 1, SetPartition((0, 1, 2, 1, 0)))
+    for g in range(6):
+        for p in enumerate_partitions(g):
+            for k in range(g + 1):
+                # oracle: the first block in block order that has no bottom vertex
+                isolated = [b for b in p.blocks if all(v < k for v in b)]
+                if isolated:
+                    with pytest.raises(ValueError) as err:
+                        RectDiagram(k, g - k, p)
+                    assert str(err.value) == f"block {isolated[0]} is isolated to the top row"
+                else:
+                    assert RectDiagram(k, g - k, p).part == p
 
 
 def test_rect_text_roundtrip():

@@ -256,6 +256,27 @@ def test_parse_text_plain_and_rgs():
     assert parse_text("1,3|2").rgs == (0, 1, 0)
     assert parse_text("rgs:0,0,1,2,0,2,2,2").rgs == (0, 0, 1, 2, 0, 2, 2, 2)
     assert parse_text("rgs: 0, 1 ").rgs == (0, 1)
+    # with no ground size given, the ground is the top row and the bottom row up to its largest primed label
+    assert parse_text("1,2'|2|3|1'", top_size=3).rgs == (0, 1, 2, 3, 0)
+    assert parse_text("1,2|3", top_size=3).rgs == (0, 0, 1)
+    with pytest.raises(ValueError, match="^vertex 3 is missing from the blocks$"):
+        parse_text("1,2", top_size=3)
+
+
+def test_parse_text_errors_name_the_vertex_as_written():
+    # vertices are named in the text's own labels, not by their 0-based index
+    for text, top, ground, message in [
+        ("1'", 1, 2, "vertex 1 is missing from the blocks"),
+        ("1,1'|2,2'", 3, 6, "vertex 3 is missing from the blocks"),
+        ("1,1'|2", 2, 4, "vertex 2' is missing from the blocks"),
+        ("1,3'|2,1'|2'", 2, 4, "vertex 3' out of range for ground size 4"),
+        ("1|2|3", None, 2, "vertex 3 out of range for ground size 2"),
+        ("1|1", None, 2, "vertex 1 appears in more than one block"),
+        ("1,2'|2,2'", 2, 4, "vertex 2' appears in more than one block"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_text(text, top_size=top, ground_size=ground)
+        assert str(err.value) == message
 
 
 def test_parse_text_errors():
