@@ -1,12 +1,13 @@
 """Exact centralizer and commutant dimensions on tensor-power modules.
 
 Ranks are computed by an `Echelon`, an incremental elimination over the
-integers: each row is cleared of denominators, reduced against the current
-echelon basis with two-term integer combinations, and gcd-normalized, so no
-floating point or rational division ever occurs and the result is
-reproducible.  Integral entries, which every entry of a diagram or
-permutation matrix is, become plain ints when a row is read and stay ints
-throughout, so no `Fraction` is built on that path.
+integers: each row is cleared of denominators, reduced in place against the
+current echelon basis with two-term integer combinations, and
+gcd-normalized once, when it joins the basis, so no floating point or
+rational division ever occurs and the result is reproducible.  Commutator
+and span rows carry integral entries, which every entry of a diagram or
+permutation matrix is, as plain ints; an all-int row is read in one pass,
+with no denominator step, so no `Fraction` is built on that path.
 
 A commutant eliminates only the rows of its generators that are neither
 permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`);
@@ -23,7 +24,7 @@ metered by its echelon.  Over the limit, either raises `BudgetExceededError`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import rep
@@ -50,48 +51,47 @@ def _integer_row(row: Mapping[int, object]) -> dict[int, int]:
     """Clear denominators and divide out the content; leading entry positive.
 
     Entries are ints or Fractions (any rational with `numerator` and
-    `denominator`); an all-integer row skips the denominator step.
+    `denominator`).  An all-int row is read once into the dict returned,
+    which is always fresh, so `Echelon.add` may reduce it in place.
     """
-    items = [(i, v) for i, v in row.items() if v]
-    if not items:
-        return {}
-    denom = 1
-    for _, v in items:
-        q = v.denominator
-        if q != 1:
-            denom = denom * q // gcd(denom, q)
-    if denom == 1:
-        ints = {i: v.numerator for i, v in items}
-    else:
-        ints = {i: v.numerator * (denom // v.denominator) for i, v in items}
-    g = _content(ints)
-    if ints[min(ints)] < 0:
-        g = -g
-    if g != 1:
-        ints = {i: v // g for i, v in ints.items()}
-    return ints
+    ints = {i: v for i, v in row.items() if v}
+    if not ints:
+        return ints
+    for v in ints.values():
+        if type(v) is not int:  # a Fraction, or a bool: clear the denominators
+            denom = lcm(*(w.denominator for w in ints.values()))
+            ints = {i: w.numerator * (denom // w.denominator) for i, w in ints.items()}
+            break
+    return _primitive(ints)
 
 
-def _content(ints: dict[int, int]) -> int:
-    """gcd of the entries (0 for an empty row), stopping once it reaches 1."""
+def _primitive(ints: dict[int, int]) -> dict[int, int]:
+    """The nonzero int row made primitive, leading entry positive; the same dict when it already is.
+
+    The content gcd stops once it reaches 1.
+    """
     g = 0
     for v in ints.values():
         g = gcd(g, v)
         if g == 1:
             break
-    return g
+    if ints[min(ints)] < 0:
+        g = -g
+    return ints if g == 1 else {i: v // g for i, v in ints.items()}
 
 
 class Echelon:
     """An integer row echelon basis that grows one row at a time, metered.
 
-    `add` makes a row a primitive integer row, then reduces it against the
-    basis (one row per pivot column): r := r * b[c] - b * r[c], divided by
-    its content.  When the basis pivot b[c] is 1, r is copied rather than
-    scaled.  `updates` counts the work: len(r) for every row read and len(b)
-    for every reduction step, so it bounds the entries the basis holds (a
-    reduction only merges supports).  Past 16 * MATRIX_NNZ_LIMIT updates,
-    read when the Echelon is made, `add` raises `BudgetExceededError`.
+    `add` makes a row a primitive integer row, then reduces it in place
+    against the basis (one row per pivot column): r := r * b[c] - b * r[c],
+    where r is scaled only when the basis pivot b[c] is not 1.  The content
+    is divided out and the sign fixed once, when r joins the basis, so every
+    basis row is primitive with a positive pivot.  `updates` counts the
+    work: len(r) for every row read and len(b) for every reduction step, so
+    it bounds the entries the basis holds (a reduction only merges
+    supports).  Past 16 * MATRIX_NNZ_LIMIT updates, read when the Echelon
+    is made, `add` raises `BudgetExceededError`.
     """
 
     __slots__ = ("basis", "updates", "what", "limit")
@@ -117,22 +117,19 @@ class Echelon:
             c = min(r)
             b = basis.get(c)
             if b is None:
-                basis[c] = r
+                basis[c] = _primitive(r)
                 return True
             # r := r * b[c] - b * r[c]; the pivot column cancels exactly.
             rc, bc = r[c], b[c]
-            merged = dict(r) if bc == 1 else {i: v * bc for i, v in r.items()}
+            if bc != 1:
+                r = {i: v * bc for i, v in r.items()}
             for i, v in b.items():
-                nv = merged.get(i, 0) - v * rc
+                nv = r.get(i, 0) - v * rc
                 if nv:
-                    merged[i] = nv
+                    r[i] = nv
                 else:
-                    del merged[i]
+                    del r[i]
             self.updates += len(b)
-            g = _content(merged)
-            if g > 1:
-                merged = {i: v // g for i, v in merged.items()}
-            r = merged
         return False
 
 
@@ -213,7 +210,9 @@ def span_rank(mats: Sequence[SparseMat]) -> int:
     for m in mats:
         if echelon.rank == width:
             break
-        echelon.add({label[r * dim + c]: v for r, c, v in m.triples})
+        row = {label[r * dim + c]: v for r, c, v in m.triples}
+        # read as ints per class, not per triple: the triples far outnumber the classes
+        echelon.add({o: v.numerator if v.denominator == 1 else v for o, v in row.items()})
     return echelon.rank
 
 

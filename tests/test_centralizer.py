@@ -7,7 +7,7 @@ from itertools import permutations, product
 from math import factorial, gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partalg import centralizer, rep as rep_module
@@ -48,6 +48,43 @@ def _dense_rank(rows: list[dict[int, Fraction]], width: int) -> int:
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
+
+
+class _StepwiseEchelon:
+    """The elimination that `Echelon` replaced, unmetered: each row is copied
+    at every reduction step and divided by its content after it."""
+
+    def __init__(self):
+        self.basis: dict[int, dict[int, int]] = {}
+        self.updates = 0
+
+    def add(self, row) -> bool:
+        items = [(i, Fraction(v)) for i, v in row.items() if v]
+        if not items:
+            return False
+        denom = 1
+        for _, v in items:
+            denom = denom * v.denominator // gcd(denom, v.denominator)
+        r = {i: v.numerator * (denom // v.denominator) for i, v in items}
+        g = gcd(*r.values())
+        g = -g if r[min(r)] < 0 else g
+        r = {i: v // g for i, v in r.items()}
+        self.updates += len(r)
+        while r:
+            c = min(r)
+            b = self.basis.get(c)
+            if b is None:
+                self.basis[c] = r
+                return True
+            rc, bc = r[c], b[c]
+            merged = {i: v * bc for i, v in r.items()}
+            for i, v in b.items():
+                merged[i] = merged.get(i, 0) - v * rc
+            self.updates += len(b)
+            merged = {i: v for i, v in merged.items() if v}
+            g = gcd(*merged.values())
+            r = {i: v // g for i, v in merged.items()} if g > 1 else merged
+        return False
 
 
 def test_rank_of_rows_matches_dense_gauss_on_random_input():
@@ -120,6 +157,49 @@ def test_integer_row_is_the_primitive_row_with_positive_lead(row):
         assert out[support[0]] > 0 and gcd(*out.values()) == 1
         scale = Fraction(out[support[0]]) / row[support[0]]
         assert all(out[c] == scale * row[c] for c in support)
+
+
+CELLS = st.one_of(st.integers(-12, 12), RATIONALS)
+KERNEL_ROWS = st.lists(
+    st.one_of(*(st.dictionaries(st.integers(0, WIDTH - 1), cells, max_size=WIDTH)
+                for cells in (st.integers(-12, 12), RATIONALS, CELLS))),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=KERNEL_ROWS)
+def test_echelon_matches_the_stepwise_normalising_oracle(rows):
+    # int, Fraction and mixed rows; the in-place reduction must leave the caller's rows alone
+    before = [[(c, type(v), v) for c, v in row.items()] for row in rows]
+    echelon, oracle = Echelon(), _StepwiseEchelon()
+    for row in rows:
+        assert echelon.add(row) == oracle.add(row)
+        assert (echelon.rank, echelon.updates) == (len(oracle.basis), oracle.updates)
+    assert [[(c, type(v), v) for c, v in row.items()] for row in rows] == before
+    assert echelon.basis.keys() == oracle.basis.keys()
+    for c, b in echelon.basis.items():
+        assert min(b) == c and b[c] > 0 and gcd(*b.values()) == 1
+        assert all(type(v) is int for v in b.values())
+        assert b.keys() == oracle.basis[c].keys()
+
+
+@settings(max_examples=100, deadline=None)
+@example(row={0: 0, 2: -4, 5: 6, 7: 10})  # a zero entry, a negative lead and content 2
+@example(row={1: 0, 3: 9, 4: -3})
+@given(row=st.dictionaries(st.integers(0, 9), st.integers(-12, 12), max_size=8))
+def test_integer_row_fast_path_matches_the_fraction_path(row):
+    out = _integer_row(row)
+    assert out == _integer_row({c: Fraction(v) for c, v in row.items()})
+    assert all(type(v) is int for v in out.values()) and out is not row
+
+
+def test_integer_row_reads_bools_through_the_fraction_path():
+    # True is an int whose type is not int: it leaves as a plain 1, not as True
+    for row in ({0: True}, {0: True, 3: -2}, {1: False, 2: True}):
+        out = _integer_row(row)
+        assert out == {c: int(v) for c, v in row.items() if v}
+        assert all(type(v) is int for v in out.values())
 
 
 def test_span_rank_of_diagram_matrices():
