@@ -11,10 +11,12 @@ with no denominator step, so no `Fraction` is built on that path.
 
 A commutant eliminates only the rows of its generators that are neither
 permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`);
-a span eliminates one row per matrix, in column classes (`span_rank`).  The
-permutation span is certified mod 2 instead (`perm_span_dim`): its rows are
-int bitsets in a `_BitEchelon`, which reduces by XOR, keyed by the live
-orbit unknowns of the diagram commutant (`_commutant_system`).
+a span eliminates one row per matrix, in column classes refined matrix by
+matrix from each triple read once, the rows read from their split tree
+(`span_rank`).  The permutation span is certified mod 2 instead
+(`perm_span_dim`): its rows are int bitsets in a `_BitEchelon`, which
+reduces by XOR, keyed by the live orbit unknowns of the diagram commutant
+(`_commutant_system`).
 
 There are no size caps.  What a layer allocates or reads is counted before
 it eliminates and passed to `rep.check_budget`; the elimination itself is
@@ -186,8 +188,11 @@ def span_rank(mats: Sequence[SparseMat]) -> int:
     Positions where every matrix has the same entry are equal columns of the
     stacked rows, so they share one column class (for diagram matrices an
     S_n-orbit, one set partition of the 2k vertices into at most n blocks).
-    Each matrix is one row over the classes, added until the rank reaches
-    the class count.  The work is estimated as the total number of nonzeros.
+    Each matrix, one row over the classes, splits them by entry, reading its
+    triples once into a list of position labels; a new class records its
+    parent, the matrix and its entry, so a class's entries are the links of
+    its chain back to class 0.  Rows are added until the rank reaches the
+    class count.  The work is estimated as the D^2 labels plus the nonzeros.
     """
     mats = list(mats)
     if not mats:
@@ -196,23 +201,38 @@ def span_rank(mats: Sequence[SparseMat]) -> int:
     if any(m.dim != dim for m in mats):
         raise ValueError("matrices must share one dimension")
     nnz = sum(m.nnz for m in mats)
-    check_budget(nnz, f"span rank of {len(mats)} matrices with {nnz} nonzeros")
-    label: dict[int, int] = {}  # position -> class; class 0, the default, is zero in every matrix so far
-    count = 1
-    for m in mats:
-        fresh: dict[tuple, int] = {}  # (old class, entry) -> new class, keyed by ints: Fraction.__hash__ is slow
+    check_budget(dim * dim + nnz, f"span rank of {len(mats)} matrices labels {dim * dim} positions and reads {nnz} nonzeros")
+    label = [0] * (dim * dim)  # position -> class; class 0 is zero in every matrix so far
+    parent, source, entry = [0], [0], [0]  # each class: the class it split from, that matrix and its entry there
+    last = key = None
+    for j, m in enumerate(mats):
+        split: dict[int, int] = {}  # old class -> new class, for the entry `key` read last
+        splits = {key: split}  # entry -> its split, keyed by ints: Fraction.__hash__ is slow
         for r, c, v in m.triples:
+            if v is not last:  # diagram matrices share one entry object: one key for all of them
+                last, key = v, (v.numerator, v.denominator)
+                split = splits.setdefault(key, {})
+                value = key[0] if key[1] == 1 else v
             p = r * dim + c
-            label[p] = fresh.setdefault((label.get(p, 0), v.numerator, v.denominator), count + len(fresh))
-        count += len(fresh)
-    width = len(set(label.values()))
-    echelon = Echelon(f"span rank of {len(mats)} matrices in {width} column classes")
-    for m in mats:
-        if echelon.rank == width:
-            break
-        row = {label[r * dim + c]: v for r, c, v in m.triples}
-        # read as ints per class, not per triple: the triples far outnumber the classes
-        echelon.add({o: v.numerator if v.denominator == 1 else v for o, v in row.items()})
+            old = label[p]
+            new = split.get(old)
+            if new is None:
+                new = split[old] = len(parent)
+                parent.append(old)
+                source.append(j)
+                entry.append(value)
+            label[p] = new
+    classes = set(label) - {0}
+    rows: list[dict[int, int | Fraction]] = [{} for _ in mats]
+    for o in classes:
+        link = o
+        while link:
+            rows[source[link]][o] = entry[link]
+            link = parent[link]
+    echelon = Echelon(f"span rank of {len(mats)} matrices in {len(classes)} column classes")
+    for row in rows:
+        if echelon.rank < len(classes):
+            echelon.add(row)
     return echelon.rank
 
 

@@ -205,12 +205,19 @@ def test_integer_row_reads_bools_through_the_fraction_path():
 def test_span_rank_of_diagram_matrices():
     for n, expected in ((2, 8), (3, 14), (4, 15)):
         mats = [matrix(d, n) for d in enumerate_diagrams(2)]
-        assert span_rank(mats) == expected
+        # as many column classes as set partitions of the 4 vertices into at most n blocks
+        assert _span_rank_and_classes(mats) == _two_pass_span_rank(mats) == (expected, expected)
     assert span_rank([]) == 0
     with pytest.raises(ValueError):
         span_rank([SparseMat.identity(2), SparseMat.identity(3)])
     with pytest.raises(BudgetExceededError):
         span_rank([SparseMat.identity(1024)] * 1025)  # 1025 * 1024 nonzeros
+    # 2048^2 positions are refused before any label is allocated
+    mats = [SparseMat.identity(2048)]
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="^span rank of 1 matrices labels 4194304 positions and reads 2048 nonzeros, over the limit 1048576$"):
+        span_rank(mats)
+    assert time.perf_counter() - start < 1
 
 
 def test_diagrams_with_at_most_n_blocks_are_a_basis_of_the_span():
@@ -261,15 +268,56 @@ def _matrix_families(draw):
     mats.append(draw(st.sampled_from(mats)))
     m = draw(st.sampled_from(mats))
     mats.append(SparseMat(dim, [(r, c, draw(ENTRIES)) for r, c, _ in m.triples]))
+    # on another support, one entry object throughout, as in a diagram matrix, and
+    # values interleaved in row-major order, equal values held by distinct Fraction objects
+    m = draw(st.sampled_from(mats))
+    one = Fraction(1)
+    mats.append(SparseMat(dim, [(c, r, one) for r, c, _ in m.triples]))
+    pool = st.sampled_from([one, Fraction(1), Fraction(1, 2), Fraction(2, 4), Fraction(-2)])
+    mats.append(SparseMat(dim, [(r, c, draw(pool)) for r, c, _ in m.triples]))
     return draw(st.permutations(mats))
 
 
-@settings(max_examples=80, deadline=None)
+def _two_pass_span_rank(mats: list[SparseMat]) -> tuple[int, int]:
+    # the rank and class count by a second method: positions labelled in a dict keyed by
+    # (old class, numerator, denominator), then every triple read again for the rows
+    dim = mats[0].dim
+    label: dict[int, int] = {}
+    count = 1
+    for m in mats:
+        fresh: dict[tuple, int] = {}
+        for r, c, v in m.triples:
+            p = r * dim + c
+            label[p] = fresh.setdefault((label.get(p, 0), v.numerator, v.denominator), count + len(fresh))
+        count += len(fresh)
+    rows = [{label[r * dim + c]: v for r, c, v in m.triples} for m in mats]
+    return rank_of_rows(rows), len(set(label.values()))
+
+
+def _span_rank_and_classes(mats: list[SparseMat]) -> tuple[int, int]:
+    # span_rank, and the class count its echelon names
+    whats = []
+
+    class Recording(Echelon):
+        def __init__(self, what: str = "elimination"):
+            whats.append(what)
+            super().__init__(what)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(centralizer, "Echelon", Recording)
+        rank = span_rank(mats)
+    (what,) = whats
+    return rank, int(what.removesuffix(" column classes").rsplit(" ", 1)[1])
+
+
+@settings(max_examples=120, deadline=None)
 @given(mats=_matrix_families())
 def test_span_rank_matches_dense_gauss_on_the_vectorized_matrices(mats):
     dim = mats[0].dim
     rows = [{r * dim + c: v for r, c, v in m.triples} for m in mats]
-    assert span_rank(mats) == _dense_rank(rows, dim * dim)
+    rank, classes = _span_rank_and_classes(mats)
+    assert rank == _dense_rank(rows, dim * dim)
+    assert (rank, classes) == _two_pass_span_rank(mats)
 
 
 def test_span_rank_stops_at_the_class_count(monkeypatch):
@@ -604,9 +652,11 @@ def test_the_span_at_n_factorial_reads_no_commutator_terms(monkeypatch):
 
 def test_budgets_are_checked_against_the_work_estimates(monkeypatch):
     monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 16)
-    assert span_rank([SparseMat.identity(4)] * 4) == 1
-    with pytest.raises(BudgetExceededError, match="^span rank of 5 matrices with 20 nonzeros"):
-        span_rank([SparseMat.identity(4)] * 5)
+    assert span_rank([SparseMat.identity(2)] * 6) == 1  # 2^2 labels and 6 * 2 nonzeros
+    with pytest.raises(BudgetExceededError, match="^span rank of 7 matrices labels 4 positions and reads 14 nonzeros, over the limit 16$"):
+        span_rank([SparseMat.identity(2)] * 7)
+    with pytest.raises(BudgetExceededError, match="^span rank of 4 matrices labels 16 positions and reads 16 nonzeros, over the limit 16$"):
+        span_rank([SparseMat.identity(4)] * 4)
     assert commutant_dimension([SparseMat.identity(4)] * 4) == 16  # 4^2 positions, no rows
     with pytest.raises(BudgetExceededError, match="^commutant at dimension 5 labels 25 positions and reads 0 terms"):
         commutant_dimension([SparseMat.identity(5)])
