@@ -41,8 +41,7 @@ __all__ = [
 class Diagram(_Record):
     """A set partition of k top and k bottom vertices."""
 
-    __slots__ = ("k", "part", "_block_rows")
-    __match_args__ = ("k", "part")
+    __slots__ = __match_args__ = ("k", "part")
 
     def __init__(self, k: int, part: SetPartition):
         if k < 1:
@@ -56,18 +55,14 @@ class Diagram(_Record):
     def block_rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per block, in block order: its top positions and its bottom positions, 0-based in each row.
 
-        One pass over the RGS builds it, and it is the only reading of the blocks that is cached.
+        One pass over the RGS builds it when read; the block-shape tests read only each row's labels.
         """
-        try:
-            return self._block_rows
-        except AttributeError:
-            rgs, k = self.part.rgs, self.k
-            rows: list[tuple[list[int], list[int]]] = [([], []) for _ in range(self.part.num_blocks)]
-            for side, labels in enumerate((rgs[:k], rgs[k:])):
-                for v, lab in enumerate(labels):
-                    rows[lab][side].append(v)
-            object.__setattr__(self, "_block_rows", tuple((tuple(tops), tuple(bots)) for tops, bots in rows))
-            return self._block_rows
+        rgs, k = self.part.rgs, self.k
+        rows: list[tuple[list[int], list[int]]] = [([], []) for _ in range(self.part.num_blocks)]
+        for side, labels in enumerate((rgs[:k], rgs[k:])):
+            for v, lab in enumerate(labels):
+                rows[lab][side].append(v)
+        return tuple((tuple(tops), tuple(bots)) for tops, bots in rows)
 
     def to_text(self) -> str:
         return self.part.to_text(top_size=self.k)
@@ -131,18 +126,18 @@ def partition_algebra_generators(k: int) -> list[Diagram]:
 
 
 def is_uniform(d: Diagram) -> bool:
-    """Every block meets the two rows in equally many vertices."""
-    return all(len(tops) == len(bots) for tops, bots in d.block_rows)
+    """Every block meets the two rows in equally many vertices: each label occurs as often in either row."""
+    return sorted(d.part.rgs[:d.k]) == sorted(d.part.rgs[d.k:])
 
 
 def is_top_propagating(d: Diagram) -> bool:
-    """No block lies entirely in the top row."""
-    return all(bots for _, bots in d.block_rows)
+    """No block lies entirely in the top row: every top label is a bottom label."""
+    return set(d.part.rgs[:d.k]).issubset(d.part.rgs[d.k:])
 
 
 def is_bottom_propagating(d: Diagram) -> bool:
-    """No block lies entirely in the bottom row."""
-    return all(tops for tops, _ in d.block_rows)
+    """No block lies entirely in the bottom row: every bottom label is a top label."""
+    return set(d.part.rgs[d.k:]).issubset(d.part.rgs[:d.k])
 
 
 _SUBSET_PREDICATES = {
@@ -171,31 +166,33 @@ def closed_under_product(family: Iterable[Diagram]) -> bool:
     """Every product of two members is a member and swallows no middle component.
 
     The check closes a generating set G instead of forming all m^2 products
-    of the m members.  Members are visited by propagating blocks, then by
-    block count, both descending, and one joins G only when the semigroup S
-    generated so far does not reach it.  Each element of S is multiplied on
-    the right by each generator; a product with a middle component or outside
-    the family is a failing pair of members, so the answer is False at once.
-    Otherwise S is the whole family.  The middle counts satisfy
-    mid(a, b) + mid(ab, c) = mid(b, c) + mid(a, bc), since both sides count
-    the components swallowed by stacking a, b and c.  For b = b'g with g in
-    G this gives mid(a, b) = mid(a, b') + mid(ab', g) - mid(b', g), where
-    mid(ab', g) = mid(b', g) = 0 because ab' and b' lie in S; by induction on
-    the word length of b, mid(a, b) = 0 and ab lies in S for all a, b in the
-    family.  At most m·|G| products are formed, and m·|G| is checked against
-    the budget each time a generator is added.
+    of the m members.  Members are visited by propagating blocks (labels in
+    both rows), then by block count, both descending, and one joins G only
+    when the semigroup S generated so far does not reach it.  Each element of
+    S is multiplied on the right by each generator; a product with a middle
+    component or outside the family is a failing pair of members, so the
+    answer is False at once; a product in the family is replaced by that
+    member, so S holds the family's own objects.  Otherwise S is the whole
+    family.  The middle counts satisfy mid(a, b) + mid(ab, c) = mid(b, c) +
+    mid(a, bc), since both sides count the components swallowed by stacking
+    a, b and c.  For b = b'g with g in G this gives mid(a, b) = mid(a, b') +
+    mid(ab', g) - mid(b', g), where mid(ab', g) = mid(b', g) = 0 because ab'
+    and b' lie in S; by induction on the word length of b, mid(a, b) = 0 and
+    ab lies in S for all a, b in the family.  At most m·|G| products are
+    formed, and m·|G| is checked against the budget each time a generator is
+    added.
     """
     from .rep import check_budget  # rep imports this module
 
     def visit_order(d: Diagram) -> tuple:
-        return -sum(1 for tops, bots in d.block_rows if tops and bots), -d.part.num_blocks, d.sort_key()
+        return -len(set(d.part.rgs[:d.k]).intersection(d.part.rgs[d.k:])), -d.part.num_blocks, d.sort_key()
 
-    members = set(family)
+    members = {d: d for d in family}  # a product found here is replaced by the member itself
     m = len(members)
     gens: list[Diagram] = []
     elements: list[Diagram] = []  # S in the order reached
     done: dict[Diagram, int] = {}  # x in S has been multiplied by gens[:done[x]]
-    for g in sorted(members, key=visit_order):
+    for g in sorted(members.values(), key=visit_order):
         if g in done:
             continue
         gens.append(g)
@@ -205,7 +202,8 @@ def closed_under_product(family: Iterable[Diagram]) -> bool:
         for x in elements:  # also visits the elements appended on the way
             for h in gens[done[x]:]:
                 d, middles = concat(x, h)
-                if middles or d not in members:
+                d = members.get(d)
+                if middles or d is None:
                     return False
                 if d not in done:
                     done[d] = 0

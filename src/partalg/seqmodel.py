@@ -5,8 +5,8 @@ the truncated space either stabilizes as the truncation grows (bounded
 operator) or grows without bound, and the block shape of the diagram
 decides which.  Norms here are exact rationals, never floats, so the
 stability comparison is an equality test.  The sup norm's row counts, and
-the column counts as row counts of the flipped diagram, are counted per
-block; the weighted l1 norm still scans trunc^k tuples.
+the column counts as row counts of the flipped diagram, are read from the
+labels of the RGS's two rows; the weighted l1 norm still scans trunc^k tuples.
 """
 
 from __future__ import annotations
@@ -127,11 +127,12 @@ def linf_matrix_norm(d: Diagram, trunc: int) -> Fraction:
 
     A nonzero row pins every block that meets the top row, and each block
     that misses it takes any of trunc values, so every nonzero row has
-    trunc^(blocks missing the top row) entries.
+    trunc^(blocks missing the top row) entries: the bottom row's labels
+    that the top row lacks.
     """
     if trunc < 1:
         raise ValueError("truncation must be at least 1")
-    return Fraction(trunc ** sum(1 for tops, _ in d.block_rows if not tops))
+    return Fraction(trunc ** len(set(d.part.rgs[d.k:]).difference(d.part.rgs[:d.k])))
 
 
 def classify_linf_bounded(d: Diagram) -> bool:

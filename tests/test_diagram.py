@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +32,7 @@ from partalg.diagram import (
     partition_algebra_generators,
     rect_compose,
 )
+from partalg.seqmodel import linf_matrix_norm
 from partalg.setpart import DisjointSets, SetPartition, enumerate_partitions, from_blocks, from_labels
 
 D2 = list(enumerate_diagrams(2))
@@ -343,8 +348,8 @@ def _bottom_propagating_by_scan(d: Diagram) -> bool:
 
 
 @settings(max_examples=120, deadline=None)
-@given(pair=diagram_pairs(max_k=4))
-def test_block_rows_split_each_block_and_decide_the_subsets(pair):
+@given(pair=diagram_pairs(max_k=5), trunc=st.integers(1, 9))
+def test_block_rows_split_each_block_and_decide_the_subsets(pair, trunc):
     for d in pair:
         k = d.k
         assert len(d.block_rows) == d.part.num_blocks
@@ -354,6 +359,9 @@ def test_block_rows_split_each_block_and_decide_the_subsets(pair):
         assert is_uniform(d) == _uniform_by_scan(d)
         assert is_top_propagating(d) == _top_propagating_by_scan(d)
         assert is_bottom_propagating(d) == _bottom_propagating_by_scan(d)
+        # the sup norm counts the blocks with no top vertex; of the flipped diagram, those with no bottom vertex
+        assert linf_matrix_norm(d, trunc) == trunc ** sum(1 for tops, _ in d.block_rows if not tops)
+        assert linf_matrix_norm(flip(d), trunc) == trunc ** sum(1 for _, bots in d.block_rows if not bots)
 
 
 def test_subalgebras_closed_without_middle_components():
@@ -400,6 +408,33 @@ def test_closure_from_generators_matches_the_all_pairs_oracle_on_whole_families(
     s_1 = parse_diagram("1,2'|2,1'")
     assert not closed_under_product([s_1]) and closed_under_product([s_1, identity(2)])
     assert closed_under_product([])
+
+
+def _copies(family) -> list[Diagram]:
+    return [Diagram(d.k, SetPartition(d.part.rgs)) for d in family]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closure_of_equal_but_distinct_members_with_duplicates_matches_the_oracle(data):
+    k = data.draw(st.sampled_from([2, 3]))
+    pool = data.draw(st.sampled_from([D2 if k == 2 else D3, *FAMILIES[k].values()]))
+    family = data.draw(st.lists(st.sampled_from(pool), max_size=24))
+    copies = _copies(family + family[: data.draw(st.integers(0, len(family)))])
+    assert all(c == d and c is not d for c, d in zip(copies, family))
+    assert closed_under_product(copies) == _closed_by_all_pairs(family)
+
+
+def test_closure_multiplies_only_the_family_own_objects(monkeypatch):
+    # a product found among the members is replaced by that member, so no second copy is held
+    for k in (2, 3):
+        for members in FAMILIES[k].values():
+            copies = _copies(members) + _copies(members)
+            ids = {id(d) for d in copies}
+            seen = []
+            monkeypatch.setattr(diagram, "concat", lambda a, b: seen.append((id(a), id(b))) or concat(a, b))
+            assert closed_under_product(copies)
+            assert seen and all(a in ids and b in ids for a, b in seen)
 
 
 def test_closure_forms_m_times_the_generators_products_not_m_squared(monkeypatch):
@@ -455,6 +490,48 @@ def test_poly_arithmetic():
     assert Poly.of(0, 1).to_strings() == ["0/1", "1/1"]
     assert Poly.of(1, 1).pretty() == "1 + x"
     assert Poly.zero().pretty() == "0"
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: Poly.of(Fraction(-3, 2), 2, 0, Fraction(1, 3)).pretty(), "-3/2 + 2*x + 1/3*x^3"),
+        (lambda: Poly.zero().shifted(3), Poly.zero()),
+        (lambda: Poly.zero() * Poly.of(1, 2), Poly.zero()),
+        (lambda: Poly.of(1, 2) * Poly.zero(), Poly.zero()),
+        (lambda: Poly.of(1).shifted(-1), ValueError("shift must be non-negative")),
+        (lambda: Poly.x_power(-1), ValueError("power must be non-negative")),
+        (lambda: parse_rect_diagram("1:1,1'"), ValueError("malformed shape prefix '1'")),
+        (lambda: parse_rect_diagram("1,x:1,1'"), ValueError("malformed shape prefix '1,x'")),
+    ],
+    ids=["pretty-coefficients", "shift-zero", "zero-times", "times-zero", "negative-shift", "negative-power",
+         "rect-one-size", "rect-not-an-int"],
+)
+def test_poly_and_rect_parse_edge_branches(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as err:
+            call()
+        assert str(err.value) == str(expected)
+    else:
+        assert call() == expected
+
+
+def test_readme_library_example_prints_what_it_says():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    out, scope = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        exec(code, scope)
+    assert out.getvalue().splitlines() == [
+        "AlgebraElement(4, (x)*{1,2|3|4,1',2',3',4'})",
+        """["1|2,2'|3,3'|1'", "1,2'|2,1'|3,3'", "1,2'|2,3'|3,1'", "1,2,1',2'|3,3'"]""",
+        "{'n': 4, 'k': 2, 'centralizer_dim': 15, 'diagram_span_rank': 15, 'commutant_of_perms_dim': 15, "
+        "'perm_span_dim': 23, 'commutant_of_diagrams_dim': 23, 'surjectivity_verdict': True, "
+        "'double_commutant_verdict': True}",
+    ]
+    lhs, rhs = scope["lhs"], scope["rhs"]
+    assert lhs * rhs == multiply(lhs, rhs) and repr(lhs * rhs) == out.getvalue().splitlines()[0]
+    assert repr(AlgebraElement(4)) == "AlgebraElement(4, 0)"
 
 
 def test_algebra_element_bookkeeping():

@@ -83,12 +83,12 @@ def test_records_with_other_fields_differ():
     assert GeometricWeights() == GeometricWeights(Fraction(1, 2)) != GeometricWeights(Fraction(1, 3))
 
 
-def test_cached_blocks_are_computed_once():
+def test_block_readings_are_computed_and_not_kept():
     p = SetPartition((0, 1, 0))
     assert p.blocks == ((0, 2), (1,)) and SetPartition.__slots__ == ("rgs",)  # the blocks are not kept
     d = Diagram(2, SetPartition((0, 1, 0, 2)))
-    assert d.block_rows == (((0,), (0,)), ((1,), ()), ((), (1,))) and d.block_rows is d.block_rows
-    assert d == Diagram(2, SetPartition((0, 1, 0, 2)))  # a filled cache is not a field
+    assert d.block_rows == (((0,), (0,)), ((1,), ()), ((), (1,))) and Diagram.__slots__ == ("k", "part")
+    assert d == Diagram(2, SetPartition((0, 1, 0, 2)))  # reading the blocks changed nothing
 
 
 def test_command_is_a_mutable_unhashable_record():
