@@ -55,14 +55,11 @@ class Diagram(_Record):
     def block_rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per block, in block order: its top positions and its bottom positions, 0-based in each row.
 
-        One pass over the RGS builds it when read; the block-shape tests read only each row's labels.
+        Each block of `part.blocks` is split at the row boundary when read; the block-shape tests read only each
+        row's labels.
         """
-        rgs, k = self.part.rgs, self.k
-        rows: list[tuple[list[int], list[int]]] = [([], []) for _ in range(self.part.num_blocks)]
-        for side, labels in enumerate((rgs[:k], rgs[k:])):
-            for v, lab in enumerate(labels):
-                rows[lab][side].append(v)
-        return tuple((tuple(tops), tuple(bots)) for tops, bots in rows)
+        k = self.k
+        return tuple((tuple(v for v in b if v < k), tuple(v - k for v in b if v >= k)) for b in self.part.blocks)
 
     def to_text(self) -> str:
         return self.part.to_text(top_size=self.k)
@@ -172,7 +169,8 @@ def closed_under_product(family: Iterable[Diagram]) -> bool:
     S is multiplied on the right by each generator; a product with a middle
     component or outside the family is a failing pair of members, so the
     answer is False at once; a product in the family is replaced by that
-    member, so S holds the family's own objects.  Otherwise S is the whole
+    member, so S holds the family's own objects.  Members and S are keyed by
+    RGS, so no diagram is hashed or compared.  Otherwise S is the whole
     family.  The middle counts satisfy mid(a, b) + mid(ab, c) = mid(b, c) +
     mid(a, bc), since both sides count the components swallowed by stacking
     a, b and c.  For b = b'g with g in G this gives mid(a, b) = mid(a, b') +
@@ -187,38 +185,35 @@ def closed_under_product(family: Iterable[Diagram]) -> bool:
     def visit_order(d: Diagram) -> tuple:
         return -len(set(d.part.rgs[:d.k]).intersection(d.part.rgs[d.k:])), -d.part.num_blocks, d.sort_key()
 
-    members = {d: d for d in family}  # a product found here is replaced by the member itself
+    members = {d.part.rgs: d for d in family}  # a product found here is replaced by the member itself
     m = len(members)
     gens: list[Diagram] = []
     elements: list[Diagram] = []  # S in the order reached
-    done: dict[Diagram, int] = {}  # x in S has been multiplied by gens[:done[x]]
+    done: dict[tuple[int, ...], int] = {}  # x in S has been multiplied by gens[:done[x.part.rgs]]
     for g in sorted(members.values(), key=visit_order):
-        if g in done:
+        if g.part.rgs in done:
             continue
         gens.append(g)
         check_budget(m * len(gens), f"closure of {m} diagrams from {len(gens)} generators forms up to {m * len(gens)} products")
-        done[g] = 0
+        done[g.part.rgs] = 0
         elements.append(g)
         for x in elements:  # also visits the elements appended on the way
-            for h in gens[done[x]:]:
+            for h in gens[done[x.part.rgs]:]:
                 d, middles = concat(x, h)
-                d = members.get(d)
+                d = members.get(d.part.rgs)
                 if middles or d is None:
                     return False
-                if d not in done:
-                    done[d] = 0
+                if d.part.rgs not in done:
+                    done[d.part.rgs] = 0
                     elements.append(d)
-            done[x] = len(gens)
+            done[x.part.rgs] = len(gens)
     return True
 
 
 def flip(d: Diagram) -> Diagram:
     """Exchange the two rows (the algebra's natural involution)."""
-    k = d.k
-    labels = [0] * (2 * k)
-    for v, lab in enumerate(d.part.rgs):
-        labels[(v + k) % (2 * k)] = lab
-    return Diagram(k, setpart.from_labels(labels))
+    rgs, k = d.part.rgs, d.k
+    return Diagram(k, setpart.from_labels(rgs[k:] + rgs[:k]))
 
 
 def concat(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:

@@ -147,7 +147,8 @@ def classify_column_finite(d: Diagram) -> bool:
     `classify_linf_bounded` of flip(d): stable across the default
     truncations 4 and 8.
     """
-    return _stable(lambda t: linf_matrix_norm(flip(d), t))
+    flipped = flip(d)
+    return _stable(lambda t: linf_matrix_norm(flipped, t))
 
 
 class NormProfile(_Record):

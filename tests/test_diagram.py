@@ -316,6 +316,16 @@ def even_rgs(draw, max_k: int = 5) -> tuple[int, ...]:
     return tuple(rgs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rgs=even_rgs())
+def test_flip_matches_the_index_formula(rgs):
+    # the oracle: vertex v of the flipped diagram is vertex (v + k) mod 2k of d
+    k = len(rgs) // 2
+    flipped = flip(Diagram(k, SetPartition(rgs))).part.rgs
+    for v, w in product(range(2 * k), repeat=2):
+        assert (flipped[v] == flipped[w]) == (rgs[(v + k) % (2 * k)] == rgs[(w + k) % (2 * k)])
+
+
 def _readings_through_blocks(rgs: tuple[int, ...], k: int) -> tuple[tuple, tuple, str]:
     # each block gathered by its label, then split at k and printed, one block at a time
     blocks = tuple(tuple(v for v, lab in enumerate(rgs) if lab == b) for b in range(max(rgs) + 1))
@@ -435,6 +445,18 @@ def test_closure_multiplies_only_the_family_own_objects(monkeypatch):
             monkeypatch.setattr(diagram, "concat", lambda a, b: seen.append((id(a), id(b))) or concat(a, b))
             assert closed_under_product(copies)
             assert seen and all(a in ids and b in ids for a, b in seen)
+
+
+def test_closure_keys_members_by_rgs_and_never_hashes_or_compares_a_record(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a record was hashed or compared")
+
+    for record in (Diagram, SetPartition):
+        monkeypatch.setattr(record, "__hash__", refused)
+        monkeypatch.setattr(record, "__eq__", refused)
+    for k in (1, 2, 3):
+        for members in FAMILIES[k].values():
+            assert closed_under_product(members)
 
 
 def test_closure_forms_m_times_the_generators_products_not_m_squared(monkeypatch):
