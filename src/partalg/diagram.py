@@ -236,9 +236,10 @@ def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int) -> tuple[SetP
     Returns the induced partition of p1's top row followed by p2's bottom
     row, and the number of components lying entirely in the fused row.
     """
-    # Nodes are the blocks of p1, then those of p2; each middle vertex joins its two blocks.
-    shift = p1.num_blocks
-    dsu = DisjointSets(shift + p2.num_blocks)
+    # Nodes are p1's labels, then p2's shifted by p1's ground size, which bounds an RGS's labels without a
+    # scan; each middle vertex joins its two blocks.
+    shift = p1.ground_size
+    dsu = DisjointSets(shift + p2.ground_size)
     for a, b in zip(p1.rgs[top:], p2.rgs):
         dsu.union(a, shift + b)
     labels = [dsu.find(a) for a in p1.rgs[:top]] + [dsu.find(shift + b) for b in p2.rgs[mid:]]
@@ -349,10 +350,10 @@ class Poly(_Record):
         return " + ".join(parts)
 
 
-class AlgebraElement:
-    """A finite linear combination of same-k diagrams with Poly coefficients."""
+class AlgebraElement(_Record):
+    """A finite linear combination of same-k diagrams with Poly coefficients; unhashable, as its terms are a dict."""
 
-    __slots__ = ("k", "_terms")
+    __slots__ = __match_args__ = ("k", "_terms")
 
     def __init__(self, k: int, terms: Mapping[Diagram, Poly] | Iterable[tuple[Diagram, Poly]] = ()):
         if k < 1:
@@ -370,8 +371,7 @@ class AlgebraElement:
                 acc.pop(d, None)
             else:
                 acc[d] = c
-        self.k = k
-        self._terms = acc
+        self._set_fields(k, acc)
 
     @classmethod
     def from_diagram(cls, d: Diagram, coeff: Poly | int | Fraction = 1) -> "AlgebraElement":
@@ -406,13 +406,6 @@ class AlgebraElement:
             return multiply(self, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.k == other.k
-            and self._terms == other._terms
-        )
-
     def __repr__(self):
         if self.is_zero():
             return f"AlgebraElement({self.k}, 0)"
@@ -428,8 +421,8 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if a.k != b.k:
         raise ValueError("cannot multiply elements with different k")
     terms = []
-    for d1, c1 in a.terms():
-        for d2, c2 in b.terms():
+    for d1, c1 in a._terms.items():
+        for d2, c2 in b._terms.items():
             d, m = concat(d1, d2)
             terms.append((d, (c1 * c2).shifted(m)))
     return AlgebraElement(a.k, terms)

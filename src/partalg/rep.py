@@ -71,14 +71,14 @@ def check_diagram_count(what: str, k: int) -> int:
     return bell
 
 
-class SparseMat:
-    """Immutable square sparse matrix with exact rational entries.
+class SparseMat(_Record):
+    """Immutable square sparse matrix with exact rational entries: its fields refuse assignment.
 
     Entries are kept as a row-major sorted coordinate list with no stored
     zeros, so equality and hashing are structural.
     """
 
-    __slots__ = ("dim", "triples")
+    __slots__ = __match_args__ = ("dim", "triples")
 
     def __init__(self, dim: int, entries: Iterable[tuple[int, int, object]] = ()):
         """Sum the (row, column, value) triples; repeated cells add up."""
@@ -97,15 +97,13 @@ class SparseMat:
                     acc[key] = s
                 else:
                     del acc[key]
-        self.dim = dim
-        self.triples = tuple(sorted((r, c, v) for (r, c), v in acc.items()))
+        self._set_fields(dim, tuple(sorted((r, c, v) for (r, c), v in acc.items())))
 
     @classmethod
     def _trusted(cls, dim: int, triples: tuple[tuple[int, int, Fraction], ...]) -> "SparseMat":
         """Wrap triples that are already distinct, in range, nonzero and row-major sorted."""
         m = cls.__new__(cls)
-        m.dim = dim
-        m.triples = triples
+        m._set_fields(dim, triples)
         return m
 
     @classmethod
@@ -123,16 +121,6 @@ class SparseMat:
             if (rr, cc) > (r, c):
                 break
         return Fraction(0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMat)
-            and self.dim == other.dim
-            and self.triples == other.triples
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.triples))
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
         if not isinstance(other, SparseMat):

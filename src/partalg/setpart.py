@@ -31,7 +31,11 @@ __all__ = [
 
 
 class _Record:
-    """Frozen value semantics for the package's slotted classes, with no generated code.
+    """Frozen value semantics for every value class of the package, with no generated code.
+
+    It serves `SetPartition`, `Diagram`, `RectDiagram`, `Poly`, `AlgebraElement`, `SparseMat`, `PermWord`,
+    `GeometricWeights`, `NormProfile`, `MonomialInvariant` and `VerificationReport`.  The one mutable value class is
+    `cli.Command`, kept apart so that `cli` imports no other `partalg` module before a command is parsed.
 
     A subclass names its fields, in order, in `__match_args__` and sets each once in `__init__` with
     `object.__setattr__` or `_set_fields`.  Instances of one class are equal when their field tuples are, hash as that

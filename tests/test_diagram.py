@@ -204,6 +204,28 @@ def test_concat_matches_independent_oracle():
         assert d.part == part and middles == middles_oracle
 
 
+def test_stacking_reads_no_block_count(monkeypatch):
+    rng = random.Random(17)
+    pairs = [(d1, d2) for k in (1, 2) for d1 in enumerate_diagrams(k) for d2 in enumerate_diagrams(k)]
+    pairs += [(rng.choice(D3), rng.choice(D3)) for _ in range(200)]
+    expected = [_concat_oracle(d1, d2) for d1, d2 in pairs]  # the oracle reads blocks, so before the patch
+    rect_pairs = [
+        (RectDiagram(d1.k, d1.k, d1.part), RectDiagram(d2.k, d2.k, d2.part), part)
+        for (d1, d2), (part, middles) in zip(pairs, expected)
+        if is_top_propagating(d1) and is_top_propagating(d2)
+    ]
+    assert rect_pairs
+
+    def refused(self):
+        raise AssertionError("num_blocks was read")
+
+    monkeypatch.setattr(SetPartition, "num_blocks", property(refused))
+    for (d1, d2), (part, middles) in zip(pairs, expected):
+        assert concat(d1, d2) == (Diagram(d1.k, part), middles)
+    for r1, r2, part in rect_pairs:
+        assert rect_compose(r1, r2) == RectDiagram(r1.k_top, r2.l_bottom, part)
+
+
 def test_multiply_is_associative():
     elems2 = [AlgebraElement.from_diagram(d) for d in D2]
     for a, b, c in product(elems2, repeat=3):

@@ -10,8 +10,8 @@ import pytest
 
 from partalg.centralizer import VerificationReport
 from partalg.cli import Command
-from partalg.diagram import Diagram, Poly, RectDiagram
-from partalg.rep import PermWord
+from partalg.diagram import AlgebraElement, Diagram, Poly, RectDiagram
+from partalg.rep import PermWord, SparseMat
 from partalg.seqmodel import GeometricWeights, MonomialInvariant, NormProfile
 from partalg.setpart import SetPartition
 
@@ -19,7 +19,7 @@ P = SetPartition((0, 1, 0, 1))
 D = Diagram(1, SetPartition((0, 1)))
 
 # per class: a factory called twice with equal but distinct arguments, the field tuple it must hold,
-# and the repr recorded when these classes were dataclasses
+# and the repr it must print (for the former dataclasses, the one they printed)
 CASES = {
     "SetPartition": (lambda: SetPartition([0, 1, 0]), ((0, 1, 0),), "SetPartition(rgs=(0, 1, 0))"),
     "Diagram": (lambda: Diagram(2, SetPartition([0, 1, 0, 1])), (2, P), "Diagram(2, \"1,1'|2,2'\")"),
@@ -34,6 +34,11 @@ CASES = {
         "RectDiagram(\"1,2:1,1'|2'\")",
     ),
     "PermWord": (lambda: PermWord([2, 3, 1]), ((2, 3, 1),), "PermWord(images=(2, 3, 1))"),
+    "SparseMat": (
+        lambda: SparseMat(3, [(2, 0, "1/2"), (0, 1, 1), (2, 0, 1)]),
+        (3, ((0, 1, Fraction(1)), (2, 0, Fraction(3, 2)))),
+        "SparseMat(dim=3, nnz=2)",
+    ),
     "GeometricWeights": (
         lambda: GeometricWeights("1/3"), (Fraction(1, 3),), "GeometricWeights(ratio=Fraction(1, 3))"
     ),
@@ -89,6 +94,21 @@ def test_block_readings_are_computed_and_not_kept():
     d = Diagram(2, SetPartition((0, 1, 0, 2)))
     assert d.block_rows == (((0,), (0,)), ((1,), ()), ((), (1,))) and Diagram.__slots__ == ("k", "part")
     assert d == Diagram(2, SetPartition((0, 1, 0, 2)))  # reading the blocks changed nothing
+
+
+def test_an_algebra_element_is_a_frozen_unhashable_value():
+    d, e = Diagram(1, SetPartition((0, 1))), Diagram(1, SetPartition((0, 0)))
+    a = AlgebraElement(1, [(d, Poly.of(1, 2)), (e, 3), (d, Poly.of(0, -2))])
+    assert a == AlgebraElement(1, {e: Poly.of(3), d: Poly.of(1)}) == AlgebraElement(1, [(d, 1), (e, 3)])
+    assert a != AlgebraElement(1, [(d, 1)]) and a != AlgebraElement(2) and a != (1, {d: Poly.of(1), e: Poly.of(3)})
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+    for field in ("k", "_terms"):
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(a, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a.k == 1 and pickle.loads(pickle.dumps(a)) == a and copy.deepcopy(a) == a
 
 
 def test_command_is_a_mutable_unhashable_record():
