@@ -50,21 +50,19 @@ __all__ = [
 
 
 def _integer_row(row: Mapping[int, object]) -> dict[int, int]:
-    """Clear denominators and divide out the content; leading entry positive.
+    """The row with its denominators cleared: a positive multiple of it, all ints, zeros dropped.
 
     Entries are ints or Fractions (any rational with `numerator` and
     `denominator`).  An all-int row is read once into the dict returned,
-    which is always fresh, so `Echelon.add` may reduce it in place.
+    which is always fresh, so `Echelon.add` may reduce it in place.  No
+    content or sign step: `_primitive` runs once, where a row is kept.
     """
     ints = {i: v for i, v in row.items() if v}
-    if not ints:
-        return ints
     for v in ints.values():
         if type(v) is not int:  # a Fraction, or a bool: clear the denominators
             denom = lcm(*(w.denominator for w in ints.values()))
-            ints = {i: w.numerator * (denom // w.denominator) for i, w in ints.items()}
-            break
-    return _primitive(ints)
+            return {i: w.numerator * (denom // w.denominator) for i, w in ints.items()}
+    return ints
 
 
 def _primitive(ints: dict[int, int]) -> dict[int, int]:
@@ -85,7 +83,7 @@ def _primitive(ints: dict[int, int]) -> dict[int, int]:
 class Echelon:
     """An integer row echelon basis that grows one row at a time, metered.
 
-    `add` makes a row a primitive integer row, then reduces it in place
+    `add` clears a row's denominators, then reduces it in place
     against the basis (one row per pivot column): r := r * b[c] - b * r[c],
     where r is scaled only when the basis pivot b[c] is not 1.  The content
     is divided out and the sign fixed once, when r joins the basis, so every
@@ -338,7 +336,7 @@ def _position_orbits(dim: int, perms: Sequence[Sequence[int]]) -> tuple[list[int
 
 
 def _orbit_commutator_rows(g: SparseMat, label: Sequence[int]) -> Iterator[dict[int, int | Fraction]]:
-    """Rows spanning XG - GX = 0 in orbit unknowns, each primitive (see `_integer_row`).
+    """Rows spanning XG - GX = 0 in orbit unknowns, each nonzero, primitive and with a positive lead.
 
     Unknown X[i, j] is orbit label[i * dim + j], or 0 where that label is
     -1.  Integral entries of G enter the rows as ints.  Equal columns l ~ l'
@@ -384,7 +382,7 @@ def _orbit_commutator_rows(g: SparseMat, label: Sequence[int]) -> Iterator[dict[
 
     for row in map(_integer_row, rows()):
         if row:
-            yield row
+            yield _primitive(row)
 
 
 def centralizer_dimension(n: int, k: int) -> int:

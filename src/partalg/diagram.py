@@ -301,8 +301,6 @@ class Poly(_Record):
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -318,8 +316,6 @@ class Poly(_Record):
         """Multiply by the m-th power of the loop parameter."""
         if m < 0:
             raise ValueError("shift must be non-negative")
-        if self.is_zero():
-            return self
         return Poly((Fraction(0),) * m + self.coeffs)
 
     def __call__(self, value) -> Fraction:
@@ -339,14 +335,10 @@ class Poly(_Record):
             if not c:
                 continue
             if i == 0:
-                parts.append(frac_str(c) if c.denominator != 1 else str(c.numerator))
+                parts.append(str(c))
             else:
                 x = "x" if i == 1 else f"x^{i}"
-                if c == 1:
-                    parts.append(x)
-                else:
-                    coef = frac_str(c) if c.denominator != 1 else str(c.numerator)
-                    parts.append(f"{coef}*{x}")
+                parts.append(x if c == 1 else f"{c}*{x}")
         return " + ".join(parts)
 
 
@@ -354,6 +346,7 @@ class AlgebraElement(_Record):
     """A finite linear combination of same-k diagrams with Poly coefficients; unhashable, as its terms are a dict."""
 
     __slots__ = __match_args__ = ("k", "_terms")
+    __hash__ = None
 
     def __init__(self, k: int, terms: Mapping[Diagram, Poly] | Iterable[tuple[Diagram, Poly]] = ()):
         if k < 1:
@@ -365,13 +358,8 @@ class AlgebraElement(_Record):
                 raise ValueError(f"term diagram has k={d.k}, element has k={k}")
             if not isinstance(c, Poly):
                 c = Poly.of(c)
-            if d in acc:
-                c = acc[d] + c
-            if c.is_zero():
-                acc.pop(d, None)
-            else:
-                acc[d] = c
-        self._set_fields(k, acc)
+            acc[d] = acc[d] + c if d in acc else c
+        self._set_fields(k, {d: c for d, c in acc.items() if not c.is_zero()})
 
     @classmethod
     def from_diagram(cls, d: Diagram, coeff: Poly | int | Fraction = 1) -> "AlgebraElement":

@@ -56,16 +56,25 @@ def check_budget(work: int, what: str) -> None:
         raise BudgetExceededError(f"{what}, over the limit {MATRIX_NNZ_LIMIT}")
 
 
+def _capped_power(base: int, exp: int) -> int:
+    """base^exp with exp capped where 2^exp passes MATRIX_NNZ_LIMIT, read at call time.
+
+    For base >= 2 it is over the limit exactly when base^exp is, so a budget
+    check never computes a huge exact power only to refuse it.
+    """
+    return base ** min(exp, MATRIX_NNZ_LIMIT.bit_length())
+
+
 def check_diagram_count(what: str, k: int) -> int:
     """Refuse a walk over the Bell(2k) diagrams on k strands over the budget; return Bell(2k).
 
     The floor 2^(2k-1) <= Bell(2k) is compared first, its exponent capped
-    where 2^exp already passes MATRIX_NNZ_LIMIT, so a huge k is refused
-    before the Bell triangle of the exact count is built.
+    (`_capped_power`), so a huge k is refused before the Bell triangle of
+    the exact count is built.
     """
     g = 2 * k
     enumerates = f"{what} at k = {k} enumerates Bell({g})"
-    check_budget(2 ** min(g - 1, MATRIX_NNZ_LIMIT.bit_length()), f"{enumerates} >= 2^{g - 1} diagrams")
+    check_budget(_capped_power(2, g - 1), f"{enumerates} >= 2^{g - 1} diagrams")
     bell = bell_number(g)
     check_budget(bell, f"{enumerates} = {bell} diagrams")
     return bell
@@ -89,15 +98,9 @@ class SparseMat(_Record):
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ValueError(f"coordinate ({r}, {c}) outside a {dim} by {dim} matrix")
             f = v if isinstance(v, Fraction) else Fraction(v)
-            if f:
-                key = (r, c)
-                s = acc.get(key)
-                s = f if s is None else s + f
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        self._set_fields(dim, tuple(sorted((r, c, v) for (r, c), v in acc.items())))
+            key = (r, c)
+            acc[key] = acc[key] + f if key in acc else f
+        self._set_fields(dim, tuple(sorted((r, c, v) for (r, c), v in acc.items() if v)))
 
     @classmethod
     def _trusted(cls, dim: int, triples: tuple[tuple[int, int, Fraction], ...]) -> "SparseMat":
@@ -215,7 +218,7 @@ def matrix(d: Diagram, n: int) -> SparseMat:
     if n < 1:
         raise ValueError("n must be a positive integer")
     b = d.part.num_blocks
-    check_budget(n**b, f"matrix at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
+    check_budget(_capped_power(n, b), f"matrix at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
     dim = n**d.k
     return SparseMat._trusted(dim, tuple([(p // dim, p % dim, _ONE) for p in _constant_ranks(d.part, n)]))
 
@@ -286,7 +289,7 @@ def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
     if k < 0:
         raise ValueError("k must be non-negative")
     n = sigma.n
-    check_budget(n**k, f"permutation matrix at n = {n} on {k}-tuples has {n}^{k} nonzeros")
+    check_budget(_capped_power(n, k), f"permutation matrix at n = {n} on {k}-tuples has {n}^{k} nonzeros")
     preimages = [0] * n
     for x, y in enumerate(sigma.images):
         preimages[y - 1] = x

@@ -40,7 +40,7 @@ class _Record:
     A subclass names its fields, in order, in `__match_args__` and sets each once in `__init__` with
     `object.__setattr__` or `_set_fields`.  Instances of one class are equal when their field tuples are, hash as that
     tuple, print as `Name(field=value, ...)`, pickle and copy through the constructor, and refuse
-    assignment and deletion.
+    assignment and deletion.  A `__hash__` set in the class body is kept: `__hash__ = None` makes a record unhashable.
     """
 
     __slots__ = ()
@@ -60,7 +60,9 @@ class _Record:
         def __hash__(self):
             return hash((key(self),) if one else key(self))
 
-        cls.__eq__, cls.__hash__ = __eq__, __hash__
+        cls.__eq__ = __eq__
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = __hash__
 
     def _set_fields(self, *values) -> None:
         """Set every field once, in `__match_args__` order: the `__init__` of a record with no checks."""
@@ -206,9 +208,6 @@ def enumerate_partitions(ground_size: int, max_blocks: int | None = None) -> Ite
         raise ValueError("ground size must be non-negative")
     if max_blocks is not None and max_blocks < 1:
         raise ValueError("max_blocks must be at least 1")
-    if ground_size == 0:
-        yield SetPartition._trusted(())
-        return
     cap = ground_size if max_blocks is None else min(max_blocks, ground_size)
     rgs = [0] * ground_size
 
@@ -220,7 +219,7 @@ def enumerate_partitions(ground_size: int, max_blocks: int | None = None) -> Ite
             rgs[t] = v
             yield from rec(t + 1, used + (1 if v == used else 0))
 
-    yield from rec(1, 1)
+    yield from rec(0, 0)
 
 
 def bell_number(g: int) -> int:

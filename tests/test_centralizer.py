@@ -18,6 +18,7 @@ from partalg.centralizer import (
     _BitEchelon,
     _integer_row,
     _permutation,
+    _primitive,
     centralizer_dimension,
     commutant_dimension,
     perm_span_dim,
@@ -148,15 +149,17 @@ def test_rank_of_rows_agrees_on_int_and_fraction_entries(rows):
 
 @settings(max_examples=60, deadline=None)
 @given(row=st.dictionaries(st.integers(0, 9), st.one_of(st.integers(-6, 6), RATIONALS), max_size=6))
-def test_integer_row_is_the_primitive_row_with_positive_lead(row):
+def test_integer_row_is_a_positive_int_multiple_and_primitive_fixes_content_and_sign(row):
     out = _integer_row(row)
     support = sorted(c for c, v in row.items() if v)
-    assert sorted(out) == support
+    assert sorted(out) == support and out is not row
     if support:
         assert all(type(v) is int for v in out.values())
-        assert out[support[0]] > 0 and gcd(*out.values()) == 1
         scale = Fraction(out[support[0]]) / row[support[0]]
-        assert all(out[c] == scale * row[c] for c in support)
+        assert scale > 0 and all(out[c] == scale * row[c] for c in support)
+        prim = _primitive(out)
+        assert sorted(prim) == support and prim[support[0]] > 0 and gcd(*prim.values()) == 1
+        assert all(prim[c] * out[support[0]] == out[c] * prim[support[0]] for c in support)
 
 
 CELLS = st.one_of(st.integers(-12, 12), RATIONALS)

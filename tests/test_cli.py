@@ -340,6 +340,18 @@ def test_oversized_rep_matrix_fails_fast_with_one_line(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# a 4000-digit n (or truncation) on 3000 singleton blocks in each row: each budget compares its power with the
+# exponent capped, so none of these computes the exact n^3000 before refusing it
+HUGE = str(10**3999)
+SINGLETONS = "|".join(map(str, range(1, 3001)))
+SINGLETON_DIAGRAM = SINGLETONS + "|" + "|".join(f"{i}'" for i in range(1, 3001))
+HUGE_POWERS = (
+    ["rep", "matrix", "--k", "3000", "--diagram", SINGLETON_DIAGRAM, "--n", HUGE],
+    ["invariants", "vector", "--n", HUGE, "--pi", SINGLETONS],
+    ["invariants", "act", "--n", HUGE, "--diagram", SINGLETON_DIAGRAM, "--pi", SINGLETONS],
+    ["norms", "lp", "--k", "3000", "--trunc", HUGE, "--diagram", SINGLETON_DIAGRAM],
+)
+
 # stopped by the meter of the permutation span mod 2, at 16 times the limit, in 0.4 and 0.6 s in process
 METERED = (["verify", "schur-weyl", "--n", "11", "--k", "2"], ["verify", "schur-weyl", "--n", "7", "--k", "3"])
 
@@ -365,6 +377,7 @@ METERED = (["verify", "schur-weyl", "--n", "11", "--k", "2"], ["verify", "schur-
         (["verify", "classification", "--k", "6"], 1.0),  # Bell(12) diagrams, before their tuples
         (["norms", "lp", "--k", "1", "--diagram", "1|1'", "--trunc", "16000"], 1.0),  # 500-word weights
         *((argv, 2.0) for argv in METERED),
+        *((argv, 1.0) for argv in HUGE_POWERS),
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):

@@ -279,6 +279,46 @@ def test_sparse_mat_accumulates_and_drops_zeros():
         SparseMat(2, [(2, 0, Fraction(1))])
 
 
+SUMMANDS = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def sums_with_a_comeback(draw, keys):
+    """(key, value) entries in which one key's running sum returns to 0 and is then added to again."""
+    entries = st.lists(st.tuples(st.sampled_from(keys), SUMMANDS), max_size=8)
+    out = draw(entries)
+    key = draw(st.sampled_from(keys))
+    x = draw(SUMMANDS.filter(bool))
+    out += [(key, x), (key, -x - sum(v for k, v in out if k == key))]
+    out += draw(entries)
+    out.append((key, draw(SUMMANDS.filter(bool))))
+    return out
+
+
+def _dict_sum(entries) -> dict:
+    out: dict = {}
+    for key, v in entries:
+        out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
+
+
+@settings(max_examples=80, deadline=None)
+@given(cells=sums_with_a_comeback([(r, c) for r in range(2) for c in range(2)]))
+def test_sparse_mat_equals_the_dict_sum_when_a_cell_cancels_and_returns(cells):
+    m = SparseMat(2, [(r, c, v) for (r, c), v in cells])
+    assert m.triples == tuple(sorted((r, c, Fraction(v)) for (r, c), v in _dict_sum(cells).items()))
+    assert all(type(v) is Fraction for _, _, v in m.triples)
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms=sums_with_a_comeback(list(enumerate_diagrams(1))))
+def test_algebra_element_equals_the_dict_sum_when_a_term_cancels_and_returns(terms):
+    a = AlgebraElement(1, [(d, Poly.of(v)) for d, v in terms])
+    expected = sorted(_dict_sum(terms).items(), key=lambda t: t[0].sort_key())
+    assert a.terms() == [(d, Poly.of(v)) for d, v in expected]
+    assert a == AlgebraElement(1, dict(expected)) and a.is_zero() == (not expected)
+
+
 def test_sparse_mat_algebra_matches_dense_oracle():
     rng = random.Random(41)
 
