@@ -13,14 +13,15 @@ once over that table, and `execute` is the only place that prints: one
 compact JSON line per document with --json, otherwise the formatter's
 lines.  Adding a subcommand means adding one entry.  A call builds the
 parser of its own entry only and imports only the modules that entry runs.
-The value classes are plain slotted classes, so no call imports the
-standard library's record decorator or `inspect`; only --json imports `json`.
+`Command` is a `types.SimpleNamespace`, so no call imports the standard
+library's record decorator or `inspect`; only --json imports `json`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import types
 from typing import Callable, Iterable, NamedTuple
 
 import partalg
@@ -32,23 +33,11 @@ class UsageError(ValueError):
     """Invalid invocation: bad flag combination or malformed input text."""
 
 
-class Command:
+class Command(types.SimpleNamespace):
     """One parsed invocation: the `_COMMANDS` key, the validated payload and the --json flag."""
 
-    __slots__ = ("name", "payload", "json_mode")
-
     def __init__(self, name: str, payload: dict, json_mode: bool):
-        self.name = name
-        self.payload = payload
-        self.json_mode = json_mode
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.payload, self.json_mode) == (other.name, other.payload, other.json_mode)
-        return NotImplemented
-
-    def __repr__(self):
-        return f"Command(name={self.name!r}, payload={self.payload!r}, json_mode={self.json_mode!r})"
+        super().__init__(name=name, payload=payload, json_mode=json_mode)
 
 
 class _Spec(NamedTuple):

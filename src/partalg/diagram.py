@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import setpart
 from .rational import frac_str
-from .setpart import DisjointSets, SetPartition, _Record
+from .setpart import SetPartition, _Record, _components
 
 __all__ = [
     "Diagram",
@@ -239,11 +239,9 @@ def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int) -> tuple[SetP
     # Nodes are p1's labels, then p2's shifted by p1's ground size, which bounds an RGS's labels without a
     # scan; each middle vertex joins its two blocks.
     shift = p1.ground_size
-    dsu = DisjointSets(shift + p2.ground_size)
-    for a, b in zip(p1.rgs[top:], p2.rgs):
-        dsu.union(a, shift + b)
-    labels = [dsu.find(a) for a in p1.rgs[:top]] + [dsu.find(shift + b) for b in p2.rgs[mid:]]
-    middle_only = {dsu.find(a) for a in p1.rgs[top:]} - set(labels)
+    comp = _components(shift + p2.ground_size, [(a, shift + b) for a, b in zip(p1.rgs[top:], p2.rgs)])
+    labels = [comp[a] for a in p1.rgs[:top]] + [comp[shift + b] for b in p2.rgs[mid:]]
+    middle_only = {comp[a] for a in p1.rgs[top:]} - set(labels)
     return setpart.from_labels(labels), len(middle_only)
 
 

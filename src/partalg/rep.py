@@ -303,12 +303,17 @@ def eval_at(elem: AlgebraElement, n: int) -> SparseMat:
     """Specialize the loop parameter to n and sum the diagram matrices.
 
     Raises BudgetExceededError, before building any matrix, when the terms'
-    matrices would have more than MATRIX_NNZ_LIMIT nonzeros together.
+    matrices would have more than MATRIX_NNZ_LIMIT nonzeros together.  The
+    term with the most blocks is compared first, its power capped
+    (`_capped_power`), so no exact power over the limit is computed.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     scalars = [(d, s) for d, poly in elem.terms() if (s := poly(Fraction(n)))]
-    nnz = sum(n**d.part.num_blocks for d, _ in scalars)
+    blocks = [d.part.num_blocks for d, _ in scalars]
+    b = max(blocks, default=0)
+    check_budget(_capped_power(n, b), f"evaluation at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
+    nnz = sum(n**m for m in blocks)
     check_budget(nnz, f"evaluation at n = {n} of {len(scalars)} diagrams has {nnz} nonzeros")
     return SparseMat(n**elem.k, ((r, c, s * v) for d, s in scalars for r, c, v in matrix(d, n).triples))
 

@@ -16,7 +16,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "SetPartition",
-    "DisjointSets",
     "from_blocks",
     "from_edges",
     "from_labels",
@@ -34,8 +33,9 @@ class _Record:
     """Frozen value semantics for every value class of the package, with no generated code.
 
     It serves `SetPartition`, `Diagram`, `RectDiagram`, `Poly`, `AlgebraElement`, `SparseMat`, `PermWord`,
-    `GeometricWeights`, `NormProfile`, `MonomialInvariant` and `VerificationReport`.  The one mutable value class is
-    `cli.Command`, kept apart so that `cli` imports no other `partalg` module before a command is parsed.
+    `GeometricWeights`, `NormProfile`, `MonomialInvariant` and `VerificationReport`.  The one mutable value class,
+    `cli.Command`, is a `types.SimpleNamespace`, so that `cli` imports no other `partalg` module before a command is
+    parsed.
 
     A subclass names its fields, in order, in `__match_args__` and sets each once in `__init__` with
     `object.__setattr__` or `_set_fields`.  Instances of one class are equal when their field tuples are, hash as that
@@ -135,27 +135,20 @@ def _vertex_name(v: int, top_size: int | None) -> str:
     return str(v + 1) if top_size is None or v < top_size else f"{v - top_size + 1}'"
 
 
-class DisjointSets:
-    """Union-find over {0, ..., n-1} with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+def _components(size: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """A label per node 0..size-1, equal exactly when the pairs connect the nodes: union-find, path halving."""
+    parent = list(range(size))  # a root is the least node of its tree, so one ascending pass reads every root
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            a, b = b, a
+        parent[a] = b
+    for v in range(size):
+        parent[v] = parent[parent[v]]
+    return parent
 
 
 def from_labels(labels: Sequence[int]) -> SetPartition:
@@ -193,13 +186,13 @@ def from_edges(ground_size: int, edges: Iterable[tuple[int, int]]) -> SetPartiti
     """Partition into connected components of a graph on the ground set."""
     if ground_size < 0:
         raise ValueError("ground size must be non-negative")
-    dsu = DisjointSets(ground_size)
-    for a, b in edges:
-        for v in (a, b):
-            if not isinstance(v, int) or not 0 <= v < ground_size:
-                raise ValueError(f"edge endpoint {v!r} out of range for ground size {ground_size}")
-        dsu.union(a, b)
-    return from_labels([dsu.find(v) for v in range(ground_size)])
+
+    def endpoint(v):
+        if not isinstance(v, int) or not 0 <= v < ground_size:
+            raise ValueError(f"edge endpoint {v!r} out of range for ground size {ground_size}")
+        return v
+
+    return from_labels(_components(ground_size, ((endpoint(a), endpoint(b)) for a, b in edges)))
 
 
 def enumerate_partitions(ground_size: int, max_blocks: int | None = None) -> Iterator[SetPartition]:

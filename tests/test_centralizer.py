@@ -930,3 +930,16 @@ def test_report_json_document():
         "n", "k", "centralizer_dim", "diagram_span_rank", "commutant_of_perms_dim", "perm_span_dim",
         "commutant_of_diagrams_dim", "surjectivity_verdict", "double_commutant_verdict",
     ]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: symmetric_group_generators(0), "n must be a positive integer", id="generators"),
+        pytest.param(lambda: verify_schur_weyl(0, 2), "n and k must be positive integers", id="verify"),
+    ],
+)
+def test_sizes_below_one_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

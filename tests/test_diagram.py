@@ -33,7 +33,8 @@ from partalg.diagram import (
     rect_compose,
 )
 from partalg.seqmodel import linf_matrix_norm
-from partalg.setpart import DisjointSets, SetPartition, enumerate_partitions, from_blocks, from_labels
+from partalg.setpart import SetPartition, enumerate_partitions, from_blocks, from_labels
+from test_setpart import relabelled_components
 
 D2 = list(enumerate_diagrams(2))
 D3 = list(enumerate_diagrams(3))
@@ -698,15 +699,11 @@ def test_stacking_blocks_matches_a_union_find_over_the_vertices(stack):
     p1, p2, top, mid = stack
     bottom = p2.ground_size - mid
     # nodes: the top row of p1, the fused middle row, then the bottom row of p2
-    dsu = DisjointSets(top + mid + bottom)
-    for block in p1.blocks:
-        for v in block[1:]:
-            dsu.union(block[0], v)
-    for block in p2.blocks:
-        for v in block[1:]:
-            dsu.union(block[0] + top, v + top)
-    labels = [dsu.find(v) for v in (*range(top), *range(top + mid, top + mid + bottom))]
-    middle_only = {dsu.find(v) for v in range(top, top + mid)} - set(labels)
+    edges = [(block[0], v) for block in p1.blocks for v in block[1:]]
+    edges += [(block[0] + top, v + top) for block in p2.blocks for v in block[1:]]
+    comp = relabelled_components(top + mid + bottom, edges)
+    labels = [comp[v] for v in (*range(top), *range(top + mid, top + mid + bottom))]
+    middle_only = {comp[v] for v in range(top, top + mid)} - set(labels)
     assert diagram._stack(p1, p2, top, mid) == (from_labels(labels), len(middle_only))
 
 
@@ -720,3 +717,33 @@ def test_rect_compose_agrees_with_diagram_product_on_square_shapes():
             d, middles = concat(d1, d2)
             assert middles == 0
             assert out is not None and out.part == d.part
+
+
+ONE_STRAND = AlgebraElement.from_diagram(parse_diagram("1|1'"))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: AlgebraElement(0), ValueError, "k must be a positive integer", id="element_k"),
+        pytest.param(
+            lambda: ONE_STRAND + 1, TypeError, "unsupported operand type(s) for +: 'AlgebraElement' and 'int'", id="add"
+        ),
+        pytest.param(
+            lambda: ONE_STRAND * 1, TypeError, "unsupported operand type(s) for *: 'AlgebraElement' and 'int'", id="mul"
+        ),
+        pytest.param(
+            lambda: multiply(ONE_STRAND, AlgebraElement.from_diagram(identity(2))),
+            ValueError,
+            "cannot multiply elements with different k",
+            id="multiply_k",
+        ),
+        pytest.param(
+            lambda: RectDiagram(-1, 1, from_labels([0])), ValueError, "row sizes must be non-negative", id="rect_rows"
+        ),
+    ],
+)
+def test_foreign_operands_and_bad_sizes_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

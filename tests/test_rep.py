@@ -350,3 +350,51 @@ def test_sparse_mat_algebra_matches_dense_oracle():
 def test_sparse_mat_json_form():
     m = SparseMat(2, [(1, 0, Fraction(1, 2)), (0, 1, Fraction(3))])
     assert m.to_json() == {"dim": 2, "triples": [[0, 1, "3/1"], [1, 0, "1/2"]]}
+
+
+@pytest.mark.parametrize("digits, k", [(400, 300), (4000, 3000)])
+def test_eval_at_refuses_a_huge_power_without_computing_or_printing_it(digits, k):
+    # n^(2k) over 4300 digits could not be printed, and at 4000 digits n^6000 takes tens of seconds to compute
+    n = 10 ** (digits - 1)
+    singletons = AlgebraElement.from_diagram(Diagram(k, SetPartition(range(2 * k))))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as info:
+        eval_at(singletons, n)
+    assert time.perf_counter() - start < 1
+    b, limit = 2 * k, rep.MATRIX_NNZ_LIMIT
+    assert str(info.value) == f"evaluation at n = {n} of a {b}-block diagram has {n}^{b} nonzeros, over the limit {limit}"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: SparseMat(-1), ValueError, "dimension must be non-negative", id="dim"),
+        pytest.param(
+            lambda: SparseMat(2) + 1, TypeError, "unsupported operand type(s) for +: 'SparseMat' and 'int'", id="add"
+        ),
+        pytest.param(
+            lambda: SparseMat(2) @ 1, TypeError, "unsupported operand type(s) for @: 'SparseMat' and 'int'", id="matmul"
+        ),
+        pytest.param(lambda: SparseMat(2) + SparseMat(3), ValueError, "dimension mismatch", id="add_dim"),
+        pytest.param(lambda: SparseMat(2) @ SparseMat(3), ValueError, "dimension mismatch", id="matmul_dim"),
+        pytest.param(lambda: unrank_tuple(9, 3, 2), ValueError, "rank 9 outside [0, 9)", id="unrank"),
+        pytest.param(lambda: matrix(parse_diagram("1|1'"), 0), ValueError, "n must be a positive integer", id="matrix"),
+        pytest.param(lambda: PermWord((2, 1))(3), ValueError, "point 3 outside [1, 2]", id="point"),
+        pytest.param(
+            lambda: PermWord((2, 1)).compose(PermWord((1, 2, 3))),
+            ValueError,
+            "cannot compose permutations of different degrees",
+            id="compose",
+        ),
+        pytest.param(
+            lambda: PermWord((2, 1)) * 1, TypeError, "unsupported operand type(s) for *: 'PermWord' and 'int'", id="mul"
+        ),
+        pytest.param(lambda: PermWord.transposition(3, 1, 1), ValueError, "invalid transposition (1 1) on 1..3", id="swap"),
+        pytest.param(lambda: PermWord.cycle(0), ValueError, "degree must be positive", id="cycle"),
+        pytest.param(lambda: perm_matrix(PermWord((2, 1)), -1), ValueError, "k must be non-negative", id="perm_matrix"),
+    ],
+)
+def test_foreign_operands_and_out_of_range_arguments_are_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -375,3 +375,20 @@ def test_truncation_scans_and_monomial_vectors_check_the_budget_first(monkeypatc
     ):
         with pytest.raises(BudgetExceededError):
             call()
+
+
+LINE = parse_diagram("1|1'")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: l1_truncated_norm(LINE, 0, HALF), "truncation must be at least 1", id="l1"),
+        pytest.param(lambda: linf_matrix_norm(LINE, 0), "truncation must be at least 1", id="linf"),
+        pytest.param(lambda: lp_norm_profile(LINE, HALF, []), "at least one truncation is required", id="profile"),
+    ],
+)
+def test_empty_truncations_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

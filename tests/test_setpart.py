@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partalg.setpart import (
@@ -116,6 +117,55 @@ def test_from_edges_no_edges_gives_singletons():
 def test_from_edges_validation():
     with pytest.raises(ValueError, match="endpoint"):
         from_edges(3, [(0, 3)])
+
+
+def relabelled_components(size: int, edges) -> list[int]:
+    """Component labels by repeated relabelling: each edge renames one endpoint's label to the other's everywhere.
+
+    A quick-find over the vertices that shares no code with `setpart._components`.
+    """
+    labels = list(range(size))
+    for a, b in edges:
+        old, new = labels[b], labels[a]
+        labels = [new if lab == old else lab for lab in labels]
+    return labels
+
+
+@st.composite
+def graphs(draw) -> tuple[int, list[tuple[int, int]]]:
+    size = draw(st.integers(0, 12))
+    vertex = st.integers(0, max(size - 1, 0))
+    return size, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * size))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=graphs(), data=st.data())
+def test_from_edges_matches_the_relabelling_oracle(graph, data):
+    size, edges = graph
+    expected = from_labels(relabelled_components(size, edges))
+    assert from_edges(size, edges) == expected
+    assert from_edges(size, iter(edges)) == expected  # a one-shot iterator is read once
+    if not size:
+        return
+    # a bad endpoint after good edges is named as before, whichever end of its edge it is
+    bad = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=size), st.just(0.0)))
+    good = data.draw(st.integers(0, size - 1))
+    edge = data.draw(st.sampled_from([(bad, good), (good, bad)]))
+    with pytest.raises(ValueError) as info:
+        from_edges(size, iter([*edges, edge]))
+    assert str(info.value) == f"edge endpoint {bad!r} out of range for ground size {size}"
+
+
+def test_from_edges_on_a_long_chain_is_near_linear():
+    # the upper half is chained from its far end, so its deep end sits 50,000 links below the root, and every
+    # lower vertex then joins that deep end: without path halving each find would walk the whole chain
+    n = 100_000
+    half = n // 2
+    edges = [(i, i + 1) for i in range(n - 2, half - 1, -1)] + [(n - 1, j) for j in range(half - 1, -1, -1)]
+    start = time.perf_counter()
+    p = from_edges(n, edges)
+    assert time.perf_counter() - start < 2
+    assert p.rgs == (0,) * n
 
 
 def test_from_edges_any_spanning_graph_recovers_the_partition():
@@ -301,3 +351,21 @@ def test_parse_text_errors():
 def test_to_text_plain():
     assert SetPartition((0, 1, 0)).to_text() == "1,3|2"
     assert SetPartition((0,) * 4).to_text() == "1,2,3,4"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: from_blocks(-1, []), "ground size must be non-negative", id="from_blocks"),
+        pytest.param(lambda: from_edges(-1, []), "ground size must be non-negative", id="from_edges"),
+        pytest.param(lambda: next(enumerate_partitions(-1)), "ground size must be non-negative", id="enumerate"),
+        pytest.param(lambda: bell_number(-1), "ground size must be non-negative", id="bell_number"),
+        pytest.param(lambda: stirling2(-1, 0), "arguments must be non-negative", id="stirling2"),
+        pytest.param(lambda: count_partitions(-1), "ground size must be non-negative", id="count_partitions"),
+        pytest.param(lambda: count_partitions(3, 0), "max_blocks must be at least 1", id="count_no_blocks"),
+    ],
+)
+def test_negative_sizes_and_block_caps_are_refused(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
