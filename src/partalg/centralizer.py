@@ -14,13 +14,14 @@ permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`);
 a span eliminates one row per matrix, in column classes refined matrix by
 matrix from each triple read once, the rows read from their split tree
 (`span_rank`).  The permutation span is certified mod 2 instead
-(`perm_span_dim`): its rows are int bitsets in a `_BitEchelon`, which
-reduces by XOR, keyed by the live orbit unknowns of the diagram commutant
-(`_commutant_system`).
+(`perm_span_dim`): its rows are int bitsets in a `_BitEchelon`, the
+`Echelon` that reduces by XOR, keyed by the live orbit unknowns of the
+diagram commutant (`_commutant_system`).
 
 There are no size caps.  What a layer allocates or reads is counted before
-it eliminates and passed to `rep.check_budget`; the elimination itself is
-metered by its echelon.  Over the limit, either raises `BudgetExceededError`.
+it eliminates and passed to `rep.check_budget`; the elimination is metered
+by `Echelon.updates`, in entries over Z and in 64-bit words over GF(2).
+Over the limit, either raises `BudgetExceededError`.
 """
 
 from __future__ import annotations
@@ -88,16 +89,17 @@ class Echelon:
     where r is scaled only when the basis pivot b[c] is not 1.  The content
     is divided out and the sign fixed once, when r joins the basis, so every
     basis row is primitive with a positive pivot.  `updates` counts the
-    work: len(r) for every row read and len(b) for every reduction step, so
-    it bounds the entries the basis holds (a reduction only merges
-    supports).  Past 16 * MATRIX_NNZ_LIMIT updates, read when the Echelon
-    is made, `add` raises `BudgetExceededError`.
+    work in the echelon's `unit`: here len(r) for every row read and len(b)
+    for every reduction step, so it bounds the entries the basis holds (a
+    reduction only merges supports).  Past 16 * MATRIX_NNZ_LIMIT, read when
+    the echelon is made, `add` raises `BudgetExceededError`.
     """
 
     __slots__ = ("basis", "updates", "what", "limit")
+    unit = "updates"
 
     def __init__(self, what: str = "elimination"):
-        self.basis: dict[int, dict[int, int]] = {}
+        self.basis: dict = {}
         self.updates = 0
         self.what = what
         self.limit = 16 * rep.MATRIX_NNZ_LIMIT
@@ -106,6 +108,9 @@ class Echelon:
     def rank(self) -> int:
         return len(self.basis)
 
+    def _refuse(self):
+        raise BudgetExceededError(f"{self.what} stopped after {self.updates} {self.unit} at rank {self.rank}, over the limit {self.limit}")
+
     def add(self, row: Mapping[int, object]) -> bool:
         """Reduce the row; True when it was independent and joined the basis."""
         basis = self.basis
@@ -113,7 +118,7 @@ class Echelon:
         self.updates += len(r)
         while r:
             if self.updates > self.limit:
-                raise BudgetExceededError(f"{self.what} stopped after {self.updates} updates at rank {self.rank}, over the limit {self.limit}")
+                self._refuse()
             c = min(r)
             b = basis.get(c)
             if b is None:
@@ -133,42 +138,31 @@ class Echelon:
         return False
 
 
-class _BitEchelon:
-    """A row echelon basis over GF(2) of int bitsets, metered in 64-bit words.
+class _BitEchelon(Echelon):
+    """An `Echelon` over GF(2) of int bitsets, its `updates` counting 64-bit words.
 
     A row's pivot is its highest bit, `x.bit_length()`, and a reduction is
-    x ^= basis[pivot].  `words` counts the work as `Echelon.updates` counts
-    entries: the words of each row read and of each basis row XORed, so it
-    bounds the bytes the basis holds.  Past 16 * MATRIX_NNZ_LIMIT words,
-    read when the echelon is made, `add` raises `BudgetExceededError`.
+    x ^= basis[pivot].  The words of each row read and of each basis row
+    XORed are counted, so the count bounds the bytes the basis holds.
     """
 
-    __slots__ = ("basis", "words", "what", "limit")
-
-    def __init__(self, what: str):
-        self.basis: dict[int, int] = {}
-        self.words = 0
-        self.what = what
-        self.limit = 16 * rep.MATRIX_NNZ_LIMIT
-
-    @property
-    def rank(self) -> int:
-        return len(self.basis)
+    __slots__ = ()
+    unit = "words"
 
     def add(self, x: int) -> bool:
         """Reduce the bitset; True when it was independent and joined the basis."""
         basis = self.basis
-        self.words += (x.bit_length() + 63) >> 6
+        self.updates += (x.bit_length() + 63) >> 6
         while x:
-            if self.words > self.limit:
-                raise BudgetExceededError(f"{self.what} stopped after {self.words} words at rank {self.rank}, over the limit {self.limit}")
+            if self.updates > self.limit:
+                self._refuse()
             pivot = x.bit_length()
             b = basis.get(pivot)
             if b is None:
                 basis[pivot] = x
                 return True
             x ^= b
-            self.words += (pivot + 63) >> 6
+            self.updates += (pivot + 63) >> 6
         return False
 
 
@@ -469,7 +463,7 @@ def perm_span_dim(n: int, k: int) -> int:
     return _closure_rank(gens, Echelon(what), lambda p: {label[c * dim + r]: 1 for r, c in enumerate(p)})
 
 
-def _closure_rank(gens: Sequence[list[int]], echelon: Echelon | _BitEchelon, row: Callable[[list[int]], object]) -> int:
+def _closure_rank(gens: Sequence[list[int]], echelon: Echelon, row: Callable[[list[int]], object]) -> int:
     """Rank of the algebra the permutations `gens` generate, each product added to `echelon` as `row(p)`."""
     identity = list(range(len(gens[0])))
     echelon.add(row(identity))
@@ -587,7 +581,7 @@ def verify_schur_weyl(n: int, k: int) -> VerificationReport:
         raise ValueError("n and k must be positive integers")
     check_diagram_count("schur-weyl verification", k)
     nnz = sum(s * n**b for b, s in enumerate(_stirling_row(2 * k, n)))
-    check_budget(nnz, f"the basis diagrams at (n, k) = ({n}, {k}) have sum_(b <= {n}) S({2 * k}, b) {n}^b nonzeros")
+    check_budget(nnz, lambda: f"the basis diagrams at (n, k) = ({n}, {k}) have sum_(b <= {n}) S({2 * k}, b) {n}^b nonzeros")
     perm_span = perm_span_dim(n, k)
     commutant_of_diagrams = commutant_dimension([matrix(d, n) for d in partition_algebra_generators(k)])
     diagram_span = span_rank([matrix(d, n) for d in enumerate_diagrams(k, max_blocks=n)])

@@ -109,19 +109,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    # results such as Bell(2000) pass Python's limit on the digits of an int
-    # printed as text; argument parsing above keeps that guard
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits:
-        sys.set_int_max_str_digits(0)
     try:
-        return execute(cmd)
+        with partalg.setpart._all_digits():  # argument parsing above keeps the limit
+            return execute(cmd)
     except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    finally:
-        if digits:
-            sys.set_int_max_str_digits(digits)
 
 
 # Input checks --------------------------------------------------------------
@@ -263,8 +256,7 @@ def _run_closure(k):
 def _run_classification(k, weights):
     m = partalg.rep.check_diagram_count("classification", k)
     trunc = partalg.seqmodel.DEFAULT_TRUNC_LARGE
-    what = f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} diagrams"
-    partalg.rep.check_budget(m * trunc**k, what)
+    partalg.rep.check_budget(m * trunc**k, lambda: f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} diagrams")
     lp_ok = linf_ok = col_ok = True
     for d in partalg.diagram.enumerate_diagrams(k):
         lp_ok = lp_ok and partalg.seqmodel.classify_lp_bounded(d, weights) == partalg.diagram.is_uniform(d)

@@ -194,7 +194,7 @@ def closed_under_product(family: Iterable[Diagram]) -> bool:
         if g.part.rgs in done:
             continue
         gens.append(g)
-        check_budget(m * len(gens), f"closure of {m} diagrams from {len(gens)} generators forms up to {m * len(gens)} products")
+        check_budget(m * len(gens), lambda: f"closure of {m} diagrams from {len(gens)} generators forms up to {m * len(gens)} products")
         done[g.part.rgs] = 0
         elements.append(g)
         for x in elements:  # also visits the elements appended on the way

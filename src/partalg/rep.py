@@ -13,11 +13,11 @@ allocates no number per entry.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .diagram import AlgebraElement, Diagram
 from .rational import frac_str
-from .setpart import SetPartition, _Record, bell_number, orbit_partition, refines
+from .setpart import SetPartition, _Record, _all_digits, bell_number, orbit_partition, refines
 
 __all__ = [
     "BudgetExceededError",
@@ -47,13 +47,15 @@ class BudgetExceededError(RuntimeError):
     """A requested computation is outside the configured resource budget."""
 
 
-def check_budget(work: int, what: str) -> None:
+def check_budget(work: int, what: str | Callable[[], str]) -> None:
     """Raise BudgetExceededError when work exceeds MATRIX_NNZ_LIMIT.
 
-    `what` names the computation and its size; it starts the message.
+    `what` names the computation and its size; it starts the message.  A callable is called only to
+    raise, under `setpart._all_digits`, so a passing check formats nothing and names a size of any length.
     """
     if work > MATRIX_NNZ_LIMIT:
-        raise BudgetExceededError(f"{what}, over the limit {MATRIX_NNZ_LIMIT}")
+        with _all_digits():
+            raise BudgetExceededError(f"{what() if callable(what) else what}, over the limit {MATRIX_NNZ_LIMIT}")
 
 
 def _capped_power(base: int, exp: int) -> int:
@@ -73,10 +75,9 @@ def check_diagram_count(what: str, k: int) -> int:
     the exact count is built.
     """
     g = 2 * k
-    enumerates = f"{what} at k = {k} enumerates Bell({g})"
-    check_budget(_capped_power(2, g - 1), f"{enumerates} >= 2^{g - 1} diagrams")
+    check_budget(_capped_power(2, g - 1), lambda: f"{what} at k = {k} enumerates Bell({g}) >= 2^{g - 1} diagrams")
     bell = bell_number(g)
-    check_budget(bell, f"{enumerates} = {bell} diagrams")
+    check_budget(bell, lambda: f"{what} at k = {k} enumerates Bell({g}) = {bell} diagrams")
     return bell
 
 
@@ -218,7 +219,7 @@ def matrix(d: Diagram, n: int) -> SparseMat:
     if n < 1:
         raise ValueError("n must be a positive integer")
     b = d.part.num_blocks
-    check_budget(_capped_power(n, b), f"matrix at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
+    check_budget(_capped_power(n, b), lambda: f"matrix at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
     dim = n**d.k
     return SparseMat._trusted(dim, tuple([(p // dim, p % dim, _ONE) for p in _constant_ranks(d.part, n)]))
 
@@ -289,7 +290,7 @@ def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
     if k < 0:
         raise ValueError("k must be non-negative")
     n = sigma.n
-    check_budget(_capped_power(n, k), f"permutation matrix at n = {n} on {k}-tuples has {n}^{k} nonzeros")
+    check_budget(_capped_power(n, k), lambda: f"permutation matrix at n = {n} on {k}-tuples has {n}^{k} nonzeros")
     preimages = [0] * n
     for x, y in enumerate(sigma.images):
         preimages[y - 1] = x
@@ -312,9 +313,9 @@ def eval_at(elem: AlgebraElement, n: int) -> SparseMat:
     scalars = [(d, s) for d, poly in elem.terms() if (s := poly(Fraction(n)))]
     blocks = [d.part.num_blocks for d, _ in scalars]
     b = max(blocks, default=0)
-    check_budget(_capped_power(n, b), f"evaluation at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
+    check_budget(_capped_power(n, b), lambda: f"evaluation at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
     nnz = sum(n**m for m in blocks)
-    check_budget(nnz, f"evaluation at n = {n} of {len(scalars)} diagrams has {nnz} nonzeros")
+    check_budget(nnz, lambda: f"evaluation at n = {n} of {len(scalars)} diagrams has {nnz} nonzeros")
     return SparseMat(n**elem.k, ((r, c, s * v) for d, s in scalars for r, c, v in matrix(d, n).triples))
 
 

@@ -80,7 +80,7 @@ def l1_truncated_norm(d: Diagram, trunc: int, weights: GeometricWeights) -> Frac
     k = d.k
     r = weights.ratio
     w = max(1, trunc * max(r.numerator.bit_length(), r.denominator.bit_length()) // 64)
-    check_budget(_capped_power(trunc, k) * w, f"l1 norm at truncation {trunc} scans {trunc}^{k} tuples of {w}-word weights")
+    check_budget(_capped_power(trunc, k) * w, lambda: f"l1 norm at truncation {trunc} scans {trunc}^{k} tuples of {w}-word weights")
     rows = d.block_rows
     mu = [Fraction(0)] + [weights.mu(i) for i in range(1, trunc + 1)]
     free_sums: dict[int, Fraction] = {}
@@ -198,7 +198,7 @@ def linf_norm_profile(d: Diagram, truncations: Sequence[int]) -> NormProfile:
 
 
 class MonomialInvariant(_Record):
-    """The 0/1 vector over [n]^k that is 1 where pi refines the tuple's orbit type."""
+    """The 0/1 vector over [n]^k that is 1 where pi refines the tuple's orbit type: the power sum p_pi, not m_pi."""
 
     __slots__ = __match_args__ = ("pi", "n", "vector")
 
@@ -214,14 +214,14 @@ class MonomialInvariant(_Record):
 
 
 def monomial_vector(pi: SetPartition, n: int) -> MonomialInvariant:
-    """Indicator of tuples constant on every block of pi: the power sum p_pi.
+    """Indicator of tuples constant on every block of pi: the power sum p_pi, not the monomial m_pi (Rosas-Sagan).
 
     A diagram's matrix read row-major is p_(d.part); both scatter `rep._constant_ranks`.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     k = pi.ground_size
-    check_budget(_capped_power(n, k), f"monomial vector at n = {n} has {n}^{k} entries")
+    check_budget(_capped_power(n, k), lambda: f"monomial vector at n = {n} has {n}^{k} entries")
     vec = [0] * n**k
     for p in _constant_ranks(pi, n):
         vec[p] = 1
@@ -251,7 +251,7 @@ def act_on_invariants(d: Diagram, pi: SetPartition, n: int) -> dict[SetPartition
     b = pi.num_blocks
     dp, c = concat(d, Diagram(k, SetPartition(pi.rgs + tuple(range(b, b + k)))))
     sigma = SetPartition(dp.part.rgs[:k])
-    check_budget(_capped_power(n, b), f"power sum at n = {n} of a {b}-block partition has {n}^{b} nonzeros")
+    check_budget(_capped_power(n, b), lambda: f"power sum at n = {n} of a {b}-block partition has {n}^{b} nonzeros")
     support = set(_constant_ranks(pi, n))
     hits = Counter(r for r, col, _ in matrix(d, n).triples if col in support)
     if dict(hits) != dict.fromkeys(_constant_ranks(sigma, n), n**c):

@@ -11,6 +11,8 @@ computed from it when asked for.
 from __future__ import annotations
 
 import re
+import sys
+from contextlib import contextmanager
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -130,6 +132,18 @@ class SetPartition(_Record):
         return "|".join(",".join(_vertex_name(v, top_size) for v in block) for block in self.blocks)
 
 
+@contextmanager
+def _all_digits():
+    """Lift Python's limit on the digits of an int printed as text (Bell(2000) has 4350), then restore it."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda _: None)
+    set_digits(0)
+    try:
+        yield
+    finally:
+        set_digits(digits)
+
+
 def _vertex_name(v: int, top_size: int | None) -> str:
     """Vertex v as block text writes it: v + 1, or (v - top_size + 1)' from top_size on."""
     return str(v + 1) if top_size is None or v < top_size else f"{v - top_size + 1}'"
@@ -203,16 +217,16 @@ def enumerate_partitions(ground_size: int, max_blocks: int | None = None) -> Ite
         raise ValueError("max_blocks must be at least 1")
     cap = ground_size if max_blocks is None else min(max_blocks, ground_size)
     rgs = [0] * ground_size
-
-    def rec(t: int, used: int) -> Iterator[SetPartition]:
-        if t == ground_size:
-            yield SetPartition._trusted(tuple(rgs))
+    used = [1] * ground_size  # used[t]: the blocks among rgs[: t + 1]
+    while True:
+        yield SetPartition._trusted(tuple(rgs))
+        t = ground_size - 1  # the successor raises the last label that may grow and zeroes the labels after it
+        while t > 0 and (rgs[t] == used[t - 1] or rgs[t] + 1 == cap):
+            t -= 1
+        if t <= 0:
             return
-        for v in range(min(used + 1, cap)):
-            rgs[t] = v
-            yield from rec(t + 1, used + (1 if v == used else 0))
-
-    yield from rec(0, 0)
+        rgs[t:] = [rgs[t] + 1] + [0] * (ground_size - t - 1)
+        used[t:] = [max(used[t - 1], rgs[t] + 1)] * (ground_size - t)
 
 
 def bell_number(g: int) -> int:
@@ -273,8 +287,7 @@ def refines(p: SetPartition, q: SetPartition) -> bool:
     if p.ground_size != q.ground_size:
         raise ValueError("partitions live on different ground sets")
     seen: dict[int, int] = {}
-    for v, lab in enumerate(p.rgs):
-        q_lab = q.rgs[v]
+    for lab, q_lab in zip(p.rgs, q.rgs):
         if seen.setdefault(lab, q_lab) != q_lab:
             return False
     return True

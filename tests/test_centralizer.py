@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from functools import cache
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, prod
@@ -694,7 +695,7 @@ def test_the_echelon_stops_past_sixteen_times_the_limit(monkeypatch):
         rank_of_rows([{i: 1 for i in range(8)}, {i: 1 for i in range(1, 9)}, {0: 1, 8: 1}], "the same rows")
     # the bit echelon counts 64-bit words: bit 1000 makes a row of 16 words
     bits = _BitEchelon("two test bitsets")
-    assert bits.add(1 << 1000 | 1) and bits.words == 16  # one row read: at the limit, not past it
+    assert bits.add(1 << 1000 | 1) and bits.updates == 16  # one row read: at the limit, not past it
     with pytest.raises(BudgetExceededError) as exc:
         bits.add(1 << 1000)  # 16 words read take the count past 16
     assert str(exc.value) == "two test bitsets stopped after 32 words at rank 1, over the limit 16"
@@ -881,6 +882,52 @@ def test_perm_span_and_diagram_commutant_match_the_closed_form():
             assert perm_span_expected(n, k) == _perm_span_closed_form(n, k), (n, k)
     with pytest.raises(ValueError):
         perm_span_expected(0, 1)
+
+
+def _corner_removed(shape: tuple[int, ...]):
+    # each shape with one corner box of `shape` removed
+    for i, row in enumerate(shape):
+        if i + 1 == len(shape) or shape[i + 1] < row:
+            yield shape[:i] + (row - 1,) * (row > 1) + shape[i + 1:]
+
+
+def _corner_added(shape: tuple[int, ...]):
+    # each shape with one box added at the end of a row, or as a new row
+    for i, row in enumerate(shape + (0,)):
+        if i == 0 or shape[i - 1] > row:
+            yield shape[:i] + (row + 1,) + shape[i + 1:]
+
+
+@cache
+def _lattice_paths(shape: tuple[int, ...]) -> int:
+    # f^shape by the branching rule: the paths up Young's lattice from the empty shape, no hook formula
+    return 1 if sum(shape) <= 1 else sum(_lattice_paths(s) for s in _corner_removed(shape))
+
+
+def _isotypic_multiplicities(n: int, k: int) -> dict[tuple[int, ...], int]:
+    # V^(x)k = sum_lambda m_lambda S^lambda: tensoring with V removes one box and adds one, from lambda = (n)
+    mult = {(n,): 1}
+    for _ in range(k):
+        grown: dict[tuple[int, ...], int] = {}
+        for shape, m in mult.items():
+            for smaller in _corner_removed(shape):
+                for larger in _corner_added(smaller):
+                    grown[larger] = grown.get(larger, 0) + m
+        mult = grown
+    return mult
+
+
+def test_the_young_lattice_walk_checks_every_closed_form():
+    # each closed form a verdict compares with, against a walk that shares no code with it
+    assert _isotypic_multiplicities(3, 1) == {(3,): 1, (2, 1): 1}  # V = S^(3) + S^(2,1)
+    assert _isotypic_multiplicities(2, 2) == {(2,): 2, (1, 1): 2}
+    assert [_lattice_paths(shape) for shape in ((3,), (2, 1), (1, 1, 1), (3, 2))] == [1, 2, 1, 5]
+    for n in range(1, 16):
+        for k in range(1, 9):
+            mult = _isotypic_multiplicities(n, k)
+            assert sum(m * m for m in mult.values()) == centralizer_dimension(n, k), (n, k)
+            assert sum(m * _lattice_paths(shape) for shape, m in mult.items()) == n**k, (n, k)
+            assert sum(_lattice_paths(shape) ** 2 for shape in mult) == perm_span_expected(n, k), (n, k)
 
 
 def test_double_commutant_verdict_needs_the_closed_form():

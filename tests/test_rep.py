@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partalg
-from partalg import centralizer, rep
+from partalg import centralizer, rep, seqmodel
 from partalg.diagram import AlgebraElement, Diagram, Poly, concat, enumerate_diagrams, identity, multiply, parse_diagram
 from partalg.rep import (
     BudgetExceededError,
@@ -114,6 +115,40 @@ def test_perm_matrix_checks_its_nonzeros_before_building_them(monkeypatch):
     assert perm_matrix(PermWord.cycle(4), 2).nnz == 16
     with pytest.raises(BudgetExceededError, match=r"^permutation matrix at n = 5 on 2-tuples has 5\^2 nonzeros, over the limit 16$"):
         perm_matrix(PermWord.cycle(5), 2)
+
+
+HUGE = 10**5000  # past Python's default limit of 4300 digits for an int printed as text
+FOUR_SINGLETONS = parse_diagram("1|2|1'|2'")
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda n: matrix(FOUR_SINGLETONS, n), "matrix at n = {n} of a 4-block diagram has {n}^4 nonzeros",
+                 id="matrix"),
+    pytest.param(lambda n: eval_at(AlgebraElement.from_diagram(FOUR_SINGLETONS), n),
+                 "evaluation at n = {n} of a 4-block diagram has {n}^4 nonzeros", id="eval_at"),
+    pytest.param(lambda n: seqmodel.monomial_vector(SetPartition((0, 1)), n), "monomial vector at n = {n} has {n}^2 entries",
+                 id="monomial_vector"),
+    pytest.param(lambda n: seqmodel.l1_truncated_norm(parse_diagram("1|1'"), n, seqmodel.GeometricWeights()),
+                 "l1 norm at truncation {n} scans {n}^1 tuples of {w}-word weights", id="l1_truncated_norm"),
+    pytest.param(lambda n: seqmodel.act_on_invariants(FOUR_SINGLETONS, SetPartition((0, 1)), n),
+                 "power sum at n = {n} of a 2-block partition has {n}^2 nonzeros", id="act_on_invariants"),
+    pytest.param(lambda n: centralizer.perm_span_dim(n, 2), "matrix at n = {n} of a 3-block diagram has {n}^3 nonzeros",
+                 id="perm_span_dim"),
+    pytest.param(lambda n: centralizer.verify_schur_weyl(n, 2),
+                 "the basis diagrams at (n, k) = ({n}, 2) have sum_(b <= {n}) S(4, b) {n}^b nonzeros", id="verify_schur_weyl"),
+])
+def test_a_budget_names_an_n_of_any_length(call, message):
+    # the message is built only when the check fails, with the digit limit lifted and then restored
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for n in (HUGE, 10**4299):  # 5001 digits, and 4300, which always printed
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError) as refused:
+            call(n)
+        assert time.perf_counter() - start < 1.0
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        if n != HUGE:  # an n that always printed keeps its message, byte for byte
+            w = n * 2 // 64  # the l1 scan's weight words at ratio 1/2
+            assert str(refused.value) == message.format(n=n, w=w) + f", over the limit {rep.MATRIX_NNZ_LIMIT}"
 
 
 def test_diagram_count_guard_refuses_by_its_floor_then_by_bell(monkeypatch):

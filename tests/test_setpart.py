@@ -3,12 +3,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partalg.diagram import enumerate_diagrams
 from partalg.setpart import (
     SetPartition,
     _stirling_row,
@@ -210,6 +211,38 @@ def test_enumerate_max_blocks():
         assert p.num_blocks <= 3
     with pytest.raises(ValueError):
         list(enumerate_partitions(3, max_blocks=0))
+
+
+def _rgs_oracle(g: int, max_blocks: int | None) -> list[tuple[int, ...]]:
+    # the recursive walk the loop replaced: label t runs over the used labels, then one new label, under the cap
+    cap = g if max_blocks is None else min(max_blocks, g)
+    out, rgs = [], [0] * g
+
+    def rec(t: int, used: int) -> None:
+        if t == g:
+            out.append(tuple(rgs))
+            return
+        for v in range(min(used + 1, cap)):
+            rgs[t] = v
+            rec(t + 1, used + (v == used))
+
+    rec(0, 0)
+    return out
+
+
+def test_enumerate_walks_in_the_recursive_order_at_every_cap():
+    for g in range(10):
+        for cap in (None, *range(1, g + 2)):
+            assert [p.rgs for p in enumerate_partitions(g, max_blocks=cap)] == _rgs_oracle(g, cap), (g, cap)
+    assert [p.rgs for p in enumerate_partitions(0)] == [()]
+
+
+def test_enumerate_does_not_recurse_per_vertex():
+    # 1200 vertices passed Python's default recursion limit when each vertex took a frame
+    assert [p.rgs for p in enumerate_partitions(1200, max_blocks=1)] == [(0,) * 1200]
+    assert [d.part.rgs for d in enumerate_diagrams(600, max_blocks=1)] == [(0,) * 1200]
+    first = [p.rgs for p in islice(enumerate_partitions(1200, max_blocks=2), 3)]
+    assert first == [(0,) * 1200, (0,) * 1199 + (1,), (0,) * 1198 + (1, 0)]
 
 
 def test_count_partitions_and_bell():
