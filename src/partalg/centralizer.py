@@ -12,7 +12,7 @@ with no denominator step, so no `Fraction` is built on that path.
 A commutant eliminates only the rows of its generators that are neither
 permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`);
 a span eliminates one row per matrix, in column classes refined matrix by
-matrix from each triple read once, the rows read from their split tree
+matrix from each position read once, the rows read from their split tree
 (`span_rank`).  The permutation span is certified mod 2 instead
 (`perm_span_dim`): its rows are int bitsets in a `_BitEchelon`, the
 `Echelon` that reduces by XOR, keyed by the live orbit unknowns of the
@@ -181,7 +181,7 @@ def span_rank(mats: Sequence[SparseMat]) -> int:
     stacked rows, so they share one column class (for diagram matrices an
     S_n-orbit, one set partition of the 2k vertices into at most n blocks).
     Each matrix, one row over the classes, splits them by entry, reading its
-    triples once into a list of position labels; a new class records its
+    positions once into a list of position labels; a new class records its
     parent, the matrix and its entry, so a class's entries are the links of
     its chain back to class 0.  Rows are added until the rank reaches the
     class count.  The work is estimated as the D^2 labels plus the nonzeros.
@@ -200,12 +200,11 @@ def span_rank(mats: Sequence[SparseMat]) -> int:
     for j, m in enumerate(mats):
         split: dict[int, int] = {}  # old class -> new class, for the entry `key` read last
         splits = {key: split}  # entry -> its split, keyed by ints: Fraction.__hash__ is slow
-        for r, c, v in m.triples:
+        for p, v in zip(m._ranks, m.values):
             if v is not last:  # diagram matrices share one entry object: one key for all of them
                 last, key = v, (v.numerator, v.denominator)
                 split = splits.setdefault(key, {})
                 value = key[0] if key[1] == 1 else v
-            p = r * dim + c
             old = label[p]
             new = split.get(old)
             if new is None:
@@ -265,7 +264,7 @@ def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, list[i
         raise ValueError("generators must share one dimension")
     perms, diagonals, others = [], [], []
     for g in gens:
-        if all(r == c for r, c, _ in g.triples):
+        if all(p % (dim + 1) == 0 for p in g._ranks):  # r * dim + c with r == c
             diagonals.append(g)
         elif (image := _permutation(g)) is not None:
             perms.append(image)
@@ -278,7 +277,7 @@ def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, list[i
     dead = set()
     for g in diagonals:
         # X[a, b] = 0 where the diagonal differs at a and b: each such position is read once
-        diag = {r: v for r, _, v in g.triples}
+        diag = {p // (dim + 1): v for p, v in zip(g._ranks, g.values)}
         values = [diag.get(a, 0) for a in range(dim)]
         cols = {value: [b for b, v in enumerate(values) if v != value] for value in set(values)}
         for a, value in enumerate(values):
@@ -300,10 +299,10 @@ def _permutation(g: SparseMat) -> list[int] | None:
     every column and two in some row.
     """
     dim = g.dim
-    if g.nnz != dim or any(r != i or v != 1 for i, (r, _, v) in enumerate(g.triples)):
+    if g.nnz != dim or any(v != 1 for v in g.values):
         return None
-    image = [c for _, c, _ in g.triples]
-    return image if len(set(image)) == dim else None
+    image = [p - i * dim for i, p in enumerate(g._ranks)]  # the i-th one's column, when it is in row i
+    return image if all(0 <= c < dim for c in image) and len(set(image)) == dim else None
 
 
 def _position_orbits(dim: int, perms: Sequence[Sequence[int]]) -> tuple[list[int], int]:
@@ -343,7 +342,8 @@ def _orbit_commutator_rows(g: SparseMat, label: Sequence[int]) -> Iterator[dict[
     dim = g.dim
     g_rows: list[list] = [[] for _ in range(dim)]
     g_cols: list[list] = [[] for _ in range(dim)]
-    for r, c, v in g.triples:
+    for p, v in zip(g._ranks, g.values):
+        r, c = divmod(p, dim)
         v = v.numerator if v.denominator == 1 else v
         g_rows[r].append((c, v))
         g_cols[c].append((r, v))
@@ -436,9 +436,9 @@ def perm_span_dim(n: int, k: int) -> int:
     dim, live, label, rows = _commutant_system(mats)
     gens = [_permutation(perm_matrix(s, k)) for s in symmetric_group_generators(n)]
     for d, m in zip(diagrams, mats):
-        entries = {r * dim + c: v for r, c, v in m.triples}
+        entries = dict(zip(m._ranks, m.values))
         for g in gens:
-            if {g[r] * dim + g[c]: v for r, c, v in m.triples} != entries:
+            if {g[p // dim] * dim + g[p % dim]: v for p, v in entries.items()} != entries:
                 raise RuntimeError(f"permutation span at (n, k) = ({n}, {k}): a generator of S_{n} does not commute with the diagram {d}")
     what = f"permutation span at (n, k) = ({n}, {k})"
     width = (max(label) + 8) // 8

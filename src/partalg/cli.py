@@ -194,7 +194,7 @@ def _check_inv_act(ns):
     d = partalg.diagram.parse_diagram(ns.diagram, ns.k)
     pi = _parse_pi(ns.pi, d.k)
     if ns.n < d.k:
-        raise UsageError(f"--n must be at least k={d.k} for a full monomial basis")
+        raise UsageError(f"--n must be at least k={d.k} for a full power sum basis")
     return {"d": d, "pi": pi, "n": ns.n}
 
 

@@ -245,16 +245,21 @@ def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int) -> tuple[SetP
     return setpart.from_labels(labels), len(middle_only)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class Poly(_Record):
     """Polynomial in the loop parameter with exact rational coefficients.
 
-    Coefficients are stored by ascending power with no trailing zeros.
+    Coefficients are stored by ascending power with no trailing zeros.  A
+    coefficient 0 or 1 is one shared `Fraction`, so x^m, the coefficient of a
+    product of two diagrams, holds no number of its own.
     """
 
     __slots__ = __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(Fraction(c) for c in coeffs)
+        cs = tuple(_ZERO if c == 0 else _ONE if c == 1 else c if type(c) is Fraction else Fraction(c) for c in coeffs)
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
@@ -275,7 +280,7 @@ class Poly(_Record):
     def x_power(cls, m: int) -> "Poly":
         if m < 0:
             raise ValueError("power must be non-negative")
-        return cls((Fraction(0),) * m + (Fraction(1),))
+        return cls((_ZERO,) * m + (_ONE,))
 
     @property
     def degree(self) -> int:
@@ -299,7 +304,7 @@ class Poly(_Record):
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -314,7 +319,7 @@ class Poly(_Record):
         """Multiply by the m-th power of the loop parameter."""
         if m < 0:
             raise ValueError("shift must be non-negative")
-        return Poly((Fraction(0),) * m + self.coeffs)
+        return Poly((_ZERO,) * m + self.coeffs)
 
     def __call__(self, value) -> Fraction:
         acc = Fraction(0)

@@ -5,15 +5,21 @@ rationals.  Rows are indexed by top-row tuples (outputs) and columns by
 bottom-row tuples (inputs); tuples over {1, ..., n} are ranked
 lexicographically with the leftmost entry most significant.
 
-Matrix entries are always `Fraction`s.  Diagram and permutation matrices
-share one `Fraction(1)` object as every nonzero entry, so building them
-allocates no number per entry.
+Matrix entries are always `Fraction`s.  A `SparseMat` holds its nonzeros
+by position r * dim + c, ascending, packed as 64-bit ints wherever dim^2
+fits, beside the tuple of their values.  Diagram and permutation matrices
+build their positions directly, digit by digit, and share one `Fraction(1)`
+object as every nonzero entry, so building them allocates no number and no
+tuple per entry.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .diagram import AlgebraElement, Diagram
 from .rational import frac_str
@@ -41,6 +47,7 @@ __all__ = [
 MATRIX_NNZ_LIMIT = 2**20
 
 _ONE = Fraction(1)
+_PACKED = 1 << 63  # a dim with dim^2 below this packs its positions as signed 64-bit ints
 
 
 class BudgetExceededError(RuntimeError):
@@ -84,46 +91,73 @@ def check_diagram_count(what: str, k: int) -> int:
 class SparseMat(_Record):
     """Immutable square sparse matrix with exact rational entries: its fields refuse assignment.
 
-    Entries are kept as a row-major sorted coordinate list with no stored
-    zeros, so equality and hashing are structural.
+    A nonzero at row r and column c sits at position r * dim + c, so the
+    positions read in ascending order are the row-major order.  `positions`
+    holds them packed as native signed 64-bit ints in a `bytes` buffer when
+    dim^2 < 2^63, else as a tuple of ints; the choice depends on `dim` alone.
+    `values` holds the aligned nonzero `Fraction`s.  No zero is stored, so
+    equality and hashing are structural.  `triples` reads the (r, c, value)
+    list back.
     """
 
-    __slots__ = __match_args__ = ("dim", "triples")
+    __slots__ = __match_args__ = ("dim", "positions", "values")
 
     def __init__(self, dim: int, entries: Iterable[tuple[int, int, object]] = ()):
         """Sum the (row, column, value) triples; repeated cells add up."""
         if dim < 0:
             raise ValueError("dimension must be non-negative")
-        acc: dict[tuple[int, int], Fraction] = {}
-        for r, c, v in entries:
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValueError(f"coordinate ({r}, {c}) outside a {dim} by {dim} matrix")
-            f = v if isinstance(v, Fraction) else Fraction(v)
-            key = (r, c)
-            acc[key] = acc[key] + f if key in acc else f
-        self._set_fields(dim, tuple(sorted((r, c, v) for (r, c), v in acc.items() if v)))
+
+        def cells():
+            for r, c, v in entries:
+                if not (0 <= r < dim and 0 <= c < dim):
+                    raise ValueError(f"coordinate ({r}, {c}) outside a {dim} by {dim} matrix")
+                yield r * dim + c, v if isinstance(v, Fraction) else Fraction(v)
+
+        self._set_fields(*SparseMat._summed(dim, cells())._astuple())
 
     @classmethod
-    def _trusted(cls, dim: int, triples: tuple[tuple[int, int, Fraction], ...]) -> "SparseMat":
-        """Wrap triples that are already distinct, in range, nonzero and row-major sorted."""
+    def _trusted(cls, dim: int, positions: Iterable[int], values: Iterable[Fraction]) -> "SparseMat":
+        """Pack positions that are already distinct, ascending and below dim^2, with their nonzero Fraction values."""
         m = cls.__new__(cls)
-        m._set_fields(dim, triples)
+        m._set_fields(dim, array("q", positions).tobytes() if dim * dim < _PACKED else tuple(positions), tuple(values))
         return m
 
     @classmethod
+    def _summed(cls, dim: int, cells: Iterable[tuple[int, Fraction]]) -> "SparseMat":
+        """The matrix of (position, value) pairs in any order: repeated positions add up, zeros are dropped."""
+        acc: dict[int, Fraction] = {}
+        for p, v in cells:
+            acc[p] = acc[p] + v if p in acc else v
+        keys = sorted(p for p, v in acc.items() if v)
+        return cls._trusted(dim, keys, map(acc.__getitem__, keys))
+
+    @property
+    def _ranks(self) -> Sequence[int]:
+        """The positions as ints: a read-only view of the packed buffer, or the tuple itself."""
+        p = self.positions
+        return memoryview(p).cast("q") if type(p) is bytes else p
+
+    @classmethod
     def identity(cls, dim: int) -> "SparseMat":
-        return cls(dim, [(i, i, 1) for i in range(dim)])
+        return cls._trusted(dim, range(0, dim * dim, dim + 1), (_ONE,) * dim)
 
     @property
     def nnz(self) -> int:
-        return len(self.triples)
+        return len(self.values)
+
+    @property
+    def triples(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """The nonzeros as (row, column, value), row-major."""
+        dim = self.dim
+        return tuple((p // dim, p % dim, v) for p, v in zip(self._ranks, self.values))
 
     def entry(self, r: int, c: int) -> Fraction:
-        for rr, cc, v in self.triples:
-            if (rr, cc) == (r, c):
-                return v
-            if (rr, cc) > (r, c):
-                break
+        if 0 <= r < self.dim and 0 <= c < self.dim:
+            p = r * self.dim + c
+            ranks = self._ranks
+            i = bisect_left(ranks, p)
+            if i < len(ranks) and ranks[i] == p:
+                return self.values[i]
         return Fraction(0)
 
     def __add__(self, other: "SparseMat") -> "SparseMat":
@@ -131,24 +165,28 @@ class SparseMat(_Record):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return SparseMat(self.dim, list(self.triples) + list(other.triples))
+        return SparseMat._summed(self.dim, chain(zip(self._ranks, self.values), zip(other._ranks, other.values)))
 
     def __sub__(self, other: "SparseMat") -> "SparseMat":
         return self + other.scaled(-1)
 
     def scaled(self, scalar) -> "SparseMat":
         s = Fraction(scalar)
-        return SparseMat(self.dim, [(r, c, s * v) for r, c, v in self.triples])
+        return SparseMat._summed(self.dim, ((p, s * v) for p, v in zip(self._ranks, self.values)))
 
     def __matmul__(self, other: "SparseMat") -> "SparseMat":
         if not isinstance(other, SparseMat):
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
+        dim = self.dim
         rows_b: dict[int, list[tuple[int, Fraction]]] = {}
-        for r, c, v in other.triples:
-            rows_b.setdefault(r, []).append((c, v))
-        return SparseMat(self.dim, ((r, l, v * w) for r, c, v in self.triples for l, w in rows_b.get(c, ())))
+        for p, w in zip(other._ranks, other.values):
+            r, c = divmod(p, dim)
+            rows_b.setdefault(r, []).append((c, w))
+        # self's nonzero at p = r * dim + c meets other's row c at column l: position p - c + l
+        return SparseMat._summed(dim, ((p - c + l, v * w) for p, v in zip(self._ranks, self.values)
+                                       for c in (p % dim,) for l, w in rows_b.get(c, ())))
 
     def to_dense(self) -> list[list[Fraction]]:
         out = [[Fraction(0)] * self.dim for _ in range(self.dim)]
@@ -157,7 +195,12 @@ class SparseMat(_Record):
         return out
 
     def to_json(self) -> dict:
-        return {"dim": self.dim, "triples": [[r, c, frac_str(v)] for r, c, v in self.triples]}
+        dim = self.dim
+        return {"dim": dim, "triples": [[p // dim, p % dim, frac_str(v)] for p, v in zip(self._ranks, self.values)]}
+
+    def __reduce__(self):
+        # the positions as ints, so a pickle does not depend on the byte order of the machine that wrote it
+        return self._trusted, (self.dim, list(self._ranks), self.values)
 
     def __repr__(self):
         return f"SparseMat(dim={self.dim}, nnz={self.nnz})"
@@ -190,11 +233,12 @@ def entry(d: Diagram, top: Sequence[int], bottom: Sequence[int]) -> int:
     return int(refines(d.part, orbit_partition(list(top) + list(bottom))))
 
 
-def _constant_ranks(part: SetPartition, n: int) -> list[int]:
-    """Ascending ranks of the tuples in [n]^g constant on each block of part: p_part.
+def _constant_ranks(part: SetPartition, n: int) -> Iterator[int]:
+    """Ascending ranks of the tuples in [n]^g constant on each block of part: p_part, read once.
 
     A block's value x + 1 adds x times its place value, the sum of n^(g-1-i) over its
     vertices i.  Blocks are RGS labels, in order of least vertex, where such tuples first differ.
+    Only the n^(b-1) ranks of the first b - 1 blocks are held; the last block's follow as ranges.
     """
     steps = [0] * part.num_blocks
     place = 1
@@ -202,16 +246,19 @@ def _constant_ranks(part: SetPartition, n: int) -> list[int]:
         steps[label] += place
         place *= n
     ranks = [0]
-    for step in steps:
+    for step in steps[:-1]:
         ranks = [p + x * step for p in ranks for x in range(n)]
-    return ranks
+    if not steps:
+        return iter(ranks)
+    step = steps[-1]
+    return chain.from_iterable(range(p, p + n * step, step) for p in ranks)
 
 
 def matrix(d: Diagram, n: int) -> SparseMat:
     """The n^k by n^k 0/1 matrix of d, columns indexed by bottom tuples.
 
-    Read row-major it is p_(d.part) over the 2k vertices, so each rank p
-    from `_constant_ranks` is the position (p // n^k, p % n^k).
+    Read row-major it is p_(d.part) over the 2k vertices, so the ranks from
+    `_constant_ranks` are its positions, packed as they come.
 
     Raises BudgetExceededError, before allocating anything, when the
     n^(number of blocks) nonzeros would exceed MATRIX_NNZ_LIMIT.
@@ -220,8 +267,7 @@ def matrix(d: Diagram, n: int) -> SparseMat:
         raise ValueError("n must be a positive integer")
     b = d.part.num_blocks
     check_budget(_capped_power(n, b), lambda: f"matrix at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
-    dim = n**d.k
-    return SparseMat._trusted(dim, tuple([(p // dim, p % dim, _ONE) for p in _constant_ranks(d.part, n)]))
+    return SparseMat._trusted(n**d.k, _constant_ranks(d.part, n), (_ONE,) * n**b)
 
 
 class PermWord(_Record):
@@ -281,8 +327,10 @@ class PermWord(_Record):
 def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
     """Permutation matrix of the diagonal action on k-tuples.
 
-    Row t has its one in column sigma^-1(t); appending one tuple position at
-    a time keeps the rows in order.
+    Row t has its one in column sigma^-1(t).  Appending one tuple place y
+    to row r and column c moves position r * n^k + c to (r * n + y) * n^k +
+    c * n + sigma^-1(y) = n * p + step[y], so the positions grow digit by
+    digit, ascending, with no row or column split out.
 
     Raises BudgetExceededError, before allocating anything, when the n^k
     nonzeros would exceed MATRIX_NNZ_LIMIT.
@@ -291,13 +339,14 @@ def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
         raise ValueError("k must be non-negative")
     n = sigma.n
     check_budget(_capped_power(n, k), lambda: f"permutation matrix at n = {n} on {k}-tuples has {n}^{k} nonzeros")
-    preimages = [0] * n
+    dim = n**k
+    step = [0] * n
     for x, y in enumerate(sigma.images):
-        preimages[y - 1] = x
-    cells = [(0, 0)]
+        step[y - 1] = (y - 1) * dim + x
+    positions = [0]
     for _ in range(k):
-        cells = [(r * n + y, c * n + preimages[y]) for r, c in cells for y in range(n)]
-    return SparseMat._trusted(n**k, tuple([(r, c, _ONE) for r, c in cells]))
+        positions = [p * n + s for p in positions for s in step]
+    return SparseMat._trusted(dim, positions, (_ONE,) * dim)
 
 
 def eval_at(elem: AlgebraElement, n: int) -> SparseMat:
@@ -316,15 +365,18 @@ def eval_at(elem: AlgebraElement, n: int) -> SparseMat:
     check_budget(_capped_power(n, b), lambda: f"evaluation at n = {n} of a {b}-block diagram has {n}^{b} nonzeros")
     nnz = sum(n**m for m in blocks)
     check_budget(nnz, lambda: f"evaluation at n = {n} of {len(scalars)} diagrams has {nnz} nonzeros")
-    return SparseMat(n**elem.k, ((r, c, s * v) for d, s in scalars for r, c, v in matrix(d, n).triples))
+    # every nonzero of a diagram matrix is 1, at the positions `_constant_ranks` lists
+    return SparseMat._summed(n**elem.k, ((p, s) for d, s in scalars for p in _constant_ranks(d.part, n)))
 
 
 def act(m: SparseMat, vec: Sequence) -> list[Fraction]:
     """Exact matrix-vector product."""
     if len(vec) != m.dim:
         raise ValueError(f"vector length {len(vec)} does not match dimension {m.dim}")
-    out = [Fraction(0)] * m.dim
-    for r, c, v in m.triples:
+    dim = m.dim
+    out = [Fraction(0)] * dim
+    for p, v in zip(m._ranks, m.values):
+        r, c = divmod(p, dim)
         x = vec[c]
         if x:
             out[r] += v * x

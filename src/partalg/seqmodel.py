@@ -221,7 +221,7 @@ def monomial_vector(pi: SetPartition, n: int) -> MonomialInvariant:
     if n < 1:
         raise ValueError("n must be a positive integer")
     k = pi.ground_size
-    check_budget(_capped_power(n, k), lambda: f"monomial vector at n = {n} has {n}^{k} entries")
+    check_budget(_capped_power(n, k), lambda: f"power sum vector at n = {n} has {n}^{k} entries")
     vec = [0] * n**k
     for p in _constant_ranks(pi, n):
         vec[p] = 1
@@ -247,13 +247,14 @@ def act_on_invariants(d: Diagram, pi: SetPartition, n: int) -> dict[SetPartition
     if pi.ground_size != k:
         raise ValueError(f"partition covers {pi.ground_size} positions, the diagram has k={k}")
     if n < k:
-        raise ValueError(f"need n >= k = {k} for a full monomial basis, got n={n}")
+        raise ValueError(f"need n >= k = {k} for a full power sum basis, got n={n}")
     b = pi.num_blocks
     dp, c = concat(d, Diagram(k, SetPartition(pi.rgs + tuple(range(b, b + k)))))
     sigma = SetPartition(dp.part.rgs[:k])
     check_budget(_capped_power(n, b), lambda: f"power sum at n = {n} of a {b}-block partition has {n}^{b} nonzeros")
     support = set(_constant_ranks(pi, n))
-    hits = Counter(r for r, col, _ in matrix(d, n).triples if col in support)
+    dim = n**k
+    hits = Counter(p // dim for p in matrix(d, n)._ranks if p % dim in support)
     if dict(hits) != dict.fromkeys(_constant_ranks(sigma, n), n**c):
         raise RuntimeError("acted vector left the invariant span")
     return {sigma: Fraction(n**c)}

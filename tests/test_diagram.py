@@ -537,6 +537,19 @@ def test_poly_arithmetic():
     assert Poly.zero().pretty() == "0"
 
 
+def test_poly_coefficients_are_fractions_with_zero_and_one_shared():
+    half = Fraction(1, 2)
+    p = Poly([half, 0, "1", 1.0, Fraction(1), True, 3])
+    assert p.coeffs == (half, 0, 1, 1, 1, 1, 3) and all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs[0] is half  # a Fraction is kept, not copied
+    assert all(c is p.coeffs[1] for c in Poly([0, Fraction(0), 0.0, 1]).coeffs[:3])
+    assert all(c is p.coeffs[4] for c in p.coeffs[3:6])
+    # the coefficient x^m of a product of two diagrams holds only the shared 0 and 1
+    d = parse_diagram("1|2|1'|2'")
+    (term, coeff), = multiply(AlgebraElement.from_diagram(d), AlgebraElement.from_diagram(d)).terms()
+    assert coeff == Poly.x_power(2) and {id(c) for c in coeff.coeffs} == {id(p.coeffs[1]), id(p.coeffs[4])}
+
+
 @pytest.mark.parametrize(
     "call, expected",
     [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from array import array
 from collections.abc import Hashable
 from fractions import Fraction
 
@@ -37,7 +38,7 @@ CASES = {
     "PermWord": (lambda: PermWord([2, 3, 1]), ((2, 3, 1),), "PermWord(images=(2, 3, 1))"),
     "SparseMat": (
         lambda: SparseMat(3, [(2, 0, "1/2"), (0, 1, 1), (2, 0, 1)]),
-        (3, ((0, 1, Fraction(1)), (2, 0, Fraction(3, 2)))),
+        (3, array("q", [1, 6]).tobytes(), (Fraction(1), Fraction(3, 2))),  # positions r * 3 + c, packed
         "SparseMat(dim=3, nnz=2)",
     ),
     "GeometricWeights": (

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -126,7 +128,7 @@ FOUR_SINGLETONS = parse_diagram("1|2|1'|2'")
                  id="matrix"),
     pytest.param(lambda n: eval_at(AlgebraElement.from_diagram(FOUR_SINGLETONS), n),
                  "evaluation at n = {n} of a 4-block diagram has {n}^4 nonzeros", id="eval_at"),
-    pytest.param(lambda n: seqmodel.monomial_vector(SetPartition((0, 1)), n), "monomial vector at n = {n} has {n}^2 entries",
+    pytest.param(lambda n: seqmodel.monomial_vector(SetPartition((0, 1)), n), "power sum vector at n = {n} has {n}^2 entries",
                  id="monomial_vector"),
     pytest.param(lambda n: seqmodel.l1_truncated_norm(parse_diagram("1|1'"), n, seqmodel.GeometricWeights()),
                  "l1 norm at truncation {n} scans {n}^1 tuples of {w}-word weights", id="l1_truncated_norm"),
@@ -385,6 +387,47 @@ def test_sparse_mat_algebra_matches_dense_oracle():
 def test_sparse_mat_json_form():
     m = SparseMat(2, [(1, 0, Fraction(1, 2)), (0, 1, Fraction(3))])
     assert m.to_json() == {"dim": 2, "triples": [[0, 1, "3/1"], [1, 0, "1/2"]]}
+
+
+def _is_the_public_record(m: SparseMat) -> None:
+    """m equals, and hashes as, the public constructor on its triples; pickle and copy give it back."""
+    rebuilt = SparseMat(m.dim, m.triples)
+    assert rebuilt == m and hash(rebuilt) == hash(m) and rebuilt.positions == m.positions
+    for twin in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+        assert twin == m and hash(twin) == hash(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_built_matrices_are_the_public_constructor_on_their_triples(n):
+    for k in (1, 2, 3):
+        for d in enumerate_diagrams(k):
+            _is_the_public_record(matrix(d, n))
+        for images in permutations(range(1, n + 1)):
+            _is_the_public_record(perm_matrix(PermWord(images), k))
+
+
+def test_entry_bisects_the_positions():
+    rng = random.Random(7)
+    for dim in (0, 1, 3, 6):
+        m = SparseMat(dim, [(rng.randrange(dim), rng.randrange(dim), rng.randint(-2, 2)) for _ in range(2 * dim)])
+        dense = m.to_dense()
+        assert all(m.entry(r, c) == dense[r][c] for r in range(dim) for c in range(dim))
+        assert all(m.entry(r, c) == 0 for r, c in ((-1, 0), (0, -1), (0, dim), (dim, 0), (1, -1)))
+
+
+@pytest.mark.parametrize("k, packed", [(31, True), (32, False), (40, False)])
+def test_positions_past_signed_64_bits_are_a_tuple(k, packed):
+    # one block on all 2k vertices at n = 2: the constant tuples, positions 0 and dim^2 - 1 = 2^(2k) - 1
+    m = matrix(Diagram(k, SetPartition((0,) * (2 * k))), 2)
+    last = 2**k - 1
+    assert type(m.positions) is (bytes if packed else tuple)
+    if not packed:
+        assert m.positions == (0, 2 ** (2 * k) - 1)
+    assert m.triples == ((0, 0, 1), (last, last, 1))
+    assert m.entry(last, last) == 1 and m.entry(0, last) == m.entry(last, 0) == 0
+    _is_the_public_record(m)
+    assert m @ m == m and m + m == m.scaled(2) and m - m == SparseMat(m.dim)
+    assert m.to_json() == {"dim": 2**k, "triples": [[0, 0, "1/1"], [last, last, "1/1"]]}
 
 
 @pytest.mark.parametrize("digits, k", [(400, 300), (4000, 3000)])

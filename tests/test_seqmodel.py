@@ -245,7 +245,7 @@ def test_constant_ranks_match_a_scan_of_every_tuple(labels, n):
     pi = from_labels(labels)
     vec = _constant_tuples_oracle(pi, n)
     tuples = product(range(1, n + 1), repeat=pi.ground_size)
-    assert _constant_ranks(pi, n) == [tuple_rank(t, n) for t, hit in zip(tuples, vec) if hit]
+    assert list(_constant_ranks(pi, n)) == [tuple_rank(t, n) for t, hit in zip(tuples, vec) if hit]
     assert monomial_vector(pi, n).vector == tuple(vec)
 
 
