@@ -254,11 +254,16 @@ def _run_closure(k):
 
 
 def _run_classification(k, weights):
-    m = partalg.rep.check_diagram_count("classification", k)
-    trunc = partalg.seqmodel.DEFAULT_TRUNC_LARGE
-    partalg.rep.check_budget(m * trunc**k, lambda: f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} diagrams")
+    """Compare the verdicts on one diagram per shape: every test is constant on a shape (`diagram._shapes`)."""
+    bell = partalg.rep.check_diagram_count("classification", k)
+    shapes = list(partalg.diagram._shapes(k))
+    m, trunc = len(shapes), partalg.seqmodel.DEFAULT_TRUNC_LARGE
+    partalg.rep.check_budget(m * trunc**k, lambda: f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} shapes")
+    covered = sum(size for _, size in shapes)
+    if covered != bell:
+        raise RuntimeError(f"the {m} shapes at k = {k} cover {covered} diagrams, not Bell({2 * k}) = {bell}")
     lp_ok = linf_ok = col_ok = True
-    for d in partalg.diagram.enumerate_diagrams(k):
+    for d, _ in shapes:
         lp_ok = lp_ok and partalg.seqmodel.classify_lp_bounded(d, weights) == partalg.diagram.is_uniform(d)
         linf_ok = linf_ok and partalg.seqmodel.classify_linf_bounded(d) == partalg.diagram.is_bottom_propagating(d)
         col_ok = col_ok and partalg.seqmodel.classify_column_finite(d) == partalg.diagram.is_top_propagating(d)

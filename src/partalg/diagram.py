@@ -11,6 +11,8 @@ middle, so coefficients are polynomials in that parameter.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from math import factorial, prod
 from typing import Iterable, Iterator, Mapping
 
 from . import setpart
@@ -157,6 +159,47 @@ def enumerate_diagrams(k: int, subset: str | None = None, max_blocks: int | None
         d = Diagram(k, p)
         if pred is None or pred(d):
             yield d
+
+
+def _shapes(k: int) -> Iterator[tuple[Diagram, int]]:
+    """One diagram per shape on k strands, with the number of diagrams of that shape.
+
+    A diagram's shape is the multiset of its blocks' (tops, bottoms) counts:
+    a vector partition of (k, k) into parts (t, b) != (0, 0), walked with
+    the parts in descending order.  The representative gives the first
+    block the first t_1 tops and the first b_1 bottoms, and so on.
+
+    The shapes are the orbits of S_k x S_k, which permutes the top vertices
+    and the bottom vertices separately.  Two diagrams of one shape are one
+    orbit: match their blocks part for part and send each block's tops and
+    bottoms to the other's.  The stabilizer permutes the tops and the
+    bottoms inside each block and the m_j equal blocks of each part among
+    themselves, so the orbit has (k!)^2 / (prod t_i! b_i! * prod m_j!)
+    diagrams, and the orbits of all shapes sum to Bell(2k).
+
+    On a weighted sequence space every tensor factor carries the same
+    weights mu_i, so permuting the factors of the rows and of the columns
+    is an isometry of the weighted l1 norm and of the sup norm.  It maps
+    each truncation window [trunc]^k onto itself and keeps the nonzero
+    count of every row and column.  So the truncated norms and column
+    counts, and the three tests that compare them across truncations, are
+    constant on a shape.  So are the three block criteria, which read only
+    each block's two counts.
+    """
+    def parts(t: int, b: int, top: tuple[int, int]) -> Iterator[tuple[tuple[int, int], ...]]:
+        if not t and not b:
+            yield ()
+        for x in range(min(t, top[0]), -1, -1):
+            for y in range(min(b, top[1]) if x == top[0] else b, -1, -1):
+                if x or y:
+                    yield from (((x, y), *rest) for rest in parts(t - x, b - y, (x, y)))
+
+    for shape in parts(k, k, (k, k)):
+        labels = [i for i, (t, _) in enumerate(shape) for _ in range(t)]
+        labels += [i for i, (_, b) in enumerate(shape) for _ in range(b)]
+        stabilizer = prod(factorial(t) * factorial(b) for t, b in shape)
+        stabilizer *= prod(factorial(len(list(equal))) for _, equal in groupby(shape))
+        yield Diagram(k, setpart.from_labels(labels)), factorial(k) ** 2 // stabilizer
 
 
 def closed_under_product(family: Iterable[Diagram]) -> bool:

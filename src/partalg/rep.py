@@ -330,7 +330,8 @@ def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
     Row t has its one in column sigma^-1(t).  Appending one tuple place y
     to row r and column c moves position r * n^k + c to (r * n + y) * n^k +
     c * n + sigma^-1(y) = n * p + step[y], so the positions grow digit by
-    digit, ascending, with no row or column split out.
+    digit, ascending, with no row or column split out.  The last place's
+    n^k positions go to the packed buffer as they are made, never as a list.
 
     Raises BudgetExceededError, before allocating anything, when the n^k
     nonzeros would exceed MATRIX_NNZ_LIMIT.
@@ -343,9 +344,10 @@ def perm_matrix(sigma: PermWord, k: int) -> SparseMat:
     step = [0] * n
     for x, y in enumerate(sigma.images):
         step[y - 1] = (y - 1) * dim + x
-    positions = [0]
-    for _ in range(k):
-        positions = [p * n + s for p in positions for s in step]
+    prefixes = [0]
+    for _ in range(k - 1):
+        prefixes = [p * n + s for p in prefixes for s in step]
+    positions = (p * n + s for p in prefixes for s in step) if k else prefixes
     return SparseMat._trusted(dim, positions, (_ONE,) * dim)
 
 

@@ -314,6 +314,27 @@ def test_classification_verdict_fails_when_the_column_counts_disagree(capsys, mo
     ]
 
 
+def test_classification_walks_one_diagram_per_shape(capsys, monkeypatch):
+    # 109 shapes times 8^4 tuples pass the budget, where the 4140 diagrams did not
+    code, out, err = run(capsys, "verify", "classification", "--k", "4")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "k: 4",
+        "lp_matches_uniform: yes",
+        "linf_matches_bottom_propagating: yes",
+        "column_finite_matches_top_propagating: yes",
+    ]
+    code, out, err = run(capsys, "verify", "classification", "--k", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: classification at k = 5 scans 8^5 tuples for each of 339 shapes, over the limit 1048576\n"
+    # the orbit sizes must add up to Bell(2k): a shape left out is a failure, not a smaller yes
+    shapes = partalg.diagram._shapes
+    monkeypatch.setattr(partalg.diagram, "_shapes", lambda k: list(shapes(k))[:-1])
+    code, out, err = run(capsys, "verify", "classification", "--k", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: the 8 shapes at k = 2 cover 14 diagrams, not Bell(4) = 15\n"
+
+
 def test_budget_errors_surface_as_runtime_failures(capsys, monkeypatch):
     # (7, 2) reads 4809 basis nonzeros, 7^3 nonzeros of p_1 and 7^4 positions, under 8192;
     # its permutation span mod 2 needs more than 16 * 8192 words and is stopped there
@@ -362,7 +383,7 @@ METERED = (["verify", "schur-weyl", "--n", "11", "--k", "2"], ["verify", "schur-
         (["invariants", "vector", "--n", "30", "--pi", "1|2|3|4|5|6"], 1.0),  # 30^6 tuples
         (["norms", "lp", "--k", "4", "--trunc", "300", "--diagram", "1|2|3|4|1'|2'|3'|4'"], 1.0),  # 300^4
         (["verify", "closure", "--k", "6"], 1.0),  # Bell(12) diagrams, refused before enumerating
-        (["verify", "classification", "--k", "4"], 1.0),  # 4140 diagrams times 8^4 tuples
+        (["verify", "classification", "--k", "5"], 1.0),  # 339 shapes times 8^5 tuples
         (["verify", "schur-weyl", "--n", "9", "--k", "3"], 1.0),  # sum_(b <= 9) S(6, b) 9^b = 1911771 basis nonzeros
         (["verify", "schur-weyl", "--n", "5", "--k", "4"], 1.0),  # sum_(b <= 5) S(8, b) 5^b = 4468305 basis nonzeros
         (["verify", "closure", "--k", "7"], 1.0),  # Bell(14) diagrams, refused before enumerating

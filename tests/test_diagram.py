@@ -4,8 +4,9 @@ import contextlib
 import io
 import random
 import re
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from partalg.diagram import (
     rect_compose,
 )
 from partalg.seqmodel import linf_matrix_norm
-from partalg.setpart import SetPartition, enumerate_partitions, from_blocks, from_labels
+from partalg.setpart import SetPartition, bell_number, enumerate_partitions, from_blocks, from_labels
 from test_setpart import relabelled_components
 
 D2 = list(enumerate_diagrams(2))
@@ -299,6 +300,37 @@ def test_enumerate_is_sorted_and_matches_partition_count():
     keys = [d.sort_key() for d in D3]
     assert keys == sorted(keys)
     assert len(D3) == len(list(enumerate_partitions(6)))
+
+
+def shape(d: Diagram) -> tuple[tuple[int, int], ...]:
+    """The multiset of the blocks' (tops, bottoms) counts, descending: the walk's order of parts."""
+    return tuple(sorted(((len(t), len(b)) for t, b in d.block_rows), reverse=True))
+
+
+@pytest.mark.parametrize("k, count", [(1, 2), (2, 9), (3, 31), (4, 109), (5, 339), (6, 1043), (7, 2998), (8, 8406)])
+def test_the_shape_orbits_sum_to_bell_2k(k, count):
+    shapes = list(diagram._shapes(k))
+    assert len(shapes) == len({shape(d) for d, _ in shapes}) == count
+    assert all(d.k == k for d, _ in shapes)
+    assert sum(size for _, size in shapes) == bell_number(2 * k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_each_orbit_size_counts_the_diagrams_of_its_shape(k):
+    assert {shape(d): size for d, size in diagram._shapes(k)} == Counter(shape(d) for d in enumerate_diagrams(k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_shape_is_one_orbit_of_the_row_permutations(k):
+    # S_k x S_k moves the top labels and the bottom labels of the RGS separately
+    by_shape: dict[tuple, set] = {}
+    for d in enumerate_diagrams(k):
+        by_shape.setdefault(shape(d), set()).add(d.part.rgs)
+    for d, _ in diagram._shapes(k):
+        top, bottom = d.part.rgs[:k], d.part.rgs[k:]
+        orbit = {from_labels([top[i] for i in s] + [bottom[i] for i in t]).rgs
+                 for s in permutations(range(k)) for t in permutations(range(k))}
+        assert orbit == by_shape[shape(d)]
 
 
 def test_flip_is_an_involution_and_swaps_rows():

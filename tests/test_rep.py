@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -110,6 +111,36 @@ def test_matrix_checks_the_nonzero_budget_before_building(monkeypatch):
     assert matrix(parse_diagram("1|2|1'|2'"), 2).nnz == 16
     with pytest.raises(BudgetExceededError):
         matrix(parse_diagram("1|2|3,1'|2'|3'"), 2)
+
+
+def _perm_matrix_from_lists(sigma: PermWord, k: int) -> SparseMat:
+    """`perm_matrix` with every place's positions held as a list: the oracle of its lazy last place."""
+    n, dim = sigma.n, sigma.n**k
+    step = [0] * n
+    for x, y in enumerate(sigma.images):
+        step[y - 1] = (y - 1) * dim + x
+    positions = [0]
+    for _ in range(k):
+        positions = [p * n + s for p in positions for s in step]
+    return SparseMat._trusted(dim, positions, (Fraction(1),) * dim)
+
+
+def test_perm_matrix_builds_its_last_place_lazily():
+    for n in range(1, 5):
+        for images in permutations(range(1, n + 1)):
+            s = PermWord(images)
+            for k in range(4):
+                m, want = perm_matrix(s, k), _perm_matrix_from_lists(s, k)
+                assert m == want and hash(m) == hash(want)
+    # at n^k = 2^20, the limit, the last place's 8 MB of packed positions are never a list of ints as well
+    tracemalloc.start()
+    try:
+        m = perm_matrix(PermWord.cycle(32), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nnz == 2**20 and m.entry(tuple_rank((2, 2, 2, 2), 32), 0) == 1  # the cycle sends 1 to 2
+    assert peak < 32 * 2**20
 
 
 def test_perm_matrix_checks_its_nonzeros_before_building_them(monkeypatch):

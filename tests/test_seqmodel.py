@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partalg import cli
 from partalg.centralizer import rank_of_rows
 from partalg.diagram import (
     Diagram,
+    _shapes,
     enumerate_diagrams,
     flip,
     identity,
@@ -36,6 +38,7 @@ from partalg.seqmodel import (
     monomial_vector,
 )
 from partalg.setpart import SetPartition, enumerate_partitions, from_blocks, from_labels, orbit_partition, refines
+from test_diagram import shape
 
 HALF = GeometricWeights(Fraction(1, 2))
 THIRD = GeometricWeights(Fraction(1, 3))
@@ -163,6 +166,64 @@ def test_column_finiteness_classifier_agrees_with_top_propagation():
     rng = random.Random(43)
     for d in rng.sample(list(enumerate_diagrams(3)), 25):
         assert classify_column_finite(d) == is_top_propagating(d)
+
+
+def _five_tests(d: Diagram) -> tuple[bool, ...]:
+    """The sup-norm and column tests and the three block criteria: every test but the l1 norm's scan."""
+    return classify_linf_bounded(d), classify_column_finite(d), is_uniform(d), is_bottom_propagating(d), is_top_propagating(d)
+
+
+def _six_tests(d: Diagram) -> tuple[bool, ...]:
+    return classify_lp_bounded(d, HALF), *_five_tests(d)
+
+
+def test_the_six_tests_are_constant_on_each_shape():
+    for k in (1, 2, 3):
+        values: dict[tuple, set] = {}
+        for d in enumerate_diagrams(k):
+            values.setdefault(shape(d), set()).add(_six_tests(d))
+        assert all(len(v) == 1 for v in values.values())
+        assert {shape(d): {_six_tests(d)} for d, _ in _shapes(k)} == values
+    assert len(set.union(*values.values())) == 5  # uniform, and each pair of propagating verdicts off it
+
+
+def test_the_tests_at_four_strands_are_those_of_the_shape_representative():
+    reps = {shape(d): d for d, _ in _shapes(4)}
+
+    def cheap(d: Diagram) -> tuple:
+        return (linf_matrix_norm(d, 4), linf_matrix_norm(d, 8), linf_matrix_norm(flip(d), 4),
+                linf_matrix_norm(flip(d), 8), *_five_tests(d))
+
+    want = {s: cheap(d) for s, d in reps.items()}
+    d4 = list(enumerate_diagrams(4))
+    assert all(cheap(d) == want[shape(d)] for d in d4)
+    for d in random.Random(33).sample(d4, 12):
+        rep_d = reps[shape(d)]
+        for trunc in (4, 8):
+            assert l1_truncated_norm(d, trunc, THIRD) == l1_truncated_norm(rep_d, trunc, THIRD)
+
+
+def _classification_by_every_diagram(k: int, weights: GeometricWeights) -> tuple[bool, bool, bool]:
+    """The three verdicts of `verify classification` over all Bell(2k) diagrams: the oracle of the shape walk."""
+    lp_ok = linf_ok = col_ok = True
+    for d in enumerate_diagrams(k):
+        lp_ok = lp_ok and classify_lp_bounded(d, weights) == is_uniform(d)
+        linf_ok = linf_ok and classify_linf_bounded(d) == is_bottom_propagating(d)
+        col_ok = col_ok and classify_column_finite(d) == is_top_propagating(d)
+    return lp_ok, linf_ok, col_ok
+
+
+@pytest.mark.parametrize("weights, unflipped", [(HALF, False), (THIRD, False), (HALF, True)])
+def test_the_walk_over_shapes_gives_the_verdicts_of_every_diagram(monkeypatch, weights, unflipped):
+    if unflipped:  # the column counts read as row counts: the third verdict fails from k = 2
+        monkeypatch.setattr(seqmodel, "flip", lambda d: d)
+    for k in (1, 2, 3):
+        want = _classification_by_every_diagram(k, weights)
+        assert want == (True, True, not unflipped or k == 1)
+        (doc,), code = cli._run_classification(k, weights)
+        assert (doc["lp_matches_uniform"], doc["linf_matches_bottom_propagating"],
+                doc["column_finite_matches_top_propagating"]) == want
+        assert code == (0 if all(want) else 1)
 
 
 def test_sup_norm_counts_the_rows_and_the_flip_counts_the_columns():
