@@ -67,10 +67,7 @@ def _integer_row(row: Mapping[int, object]) -> dict[int, int]:
 
 
 def _primitive(ints: dict[int, int]) -> dict[int, int]:
-    """The nonzero int row made primitive, leading entry positive; the same dict when it already is.
-
-    The content gcd stops once it reaches 1.
-    """
+    """The nonzero int row made primitive, leading entry positive; the same dict when it already is."""
     g = 0
     for v in ints.values():
         g = gcd(g, v)
@@ -479,16 +476,6 @@ def _closure_rank(gens: Sequence[list[int]], echelon: Echelon, row: Callable[[li
     return echelon.rank
 
 
-def _partitions(m: int, largest: int):
-    """Integer partitions of m into parts of at most `largest`, as weakly decreasing tuples."""
-    if m == 0:
-        yield ()
-        return
-    for part in range(min(m, largest), 0, -1):
-        for rest in _partitions(m - part, part):
-            yield (part,) + rest
-
-
 def _standard_tableaux(shape: tuple[int, ...]) -> int:
     """f^shape, the number of standard Young tableaux, by the hook-length formula."""
     cols = [sum(1 for row in shape if row > j) for j in range(shape[0])]
@@ -496,21 +483,31 @@ def _standard_tableaux(shape: tuple[int, ...]) -> int:
     return factorial(sum(shape)) // hooks
 
 
-def perm_span_expected(n: int, k: int) -> int:
-    """Closed form of perm_span_dim: the sum of (f^lambda)^2 over lambda |- n with n - lambda_1 <= k.
+def _isotypic(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """The multiplicity m_lambda > 0 of each S^lambda in V^(tensor k), V = C^n: level k of the Bratteli diagram of P_k(n)."""
+    mult = {(n,): 1}
+    for step in range(2 * k):  # V = Ind 1 from S_(n-1): by the branching rule each factor removes a box, then adds one
+        grown: dict[tuple[int, ...], int] = {}
+        for shape, m in mult.items():
+            rows = shape + (0, 0)
+            for i in range(len(shape) + 1):
+                v = rows[i] + (1 if step % 2 else -1)
+                if (i == 0 or rows[i - 1] >= v) and rows[i + 1] <= v:  # still a partition: row i between its neighbours
+                    moved = tuple(x for x in rows[:i] + (v,) + rows[i + 1:] if x)
+                    grown[moved] = grown.get(moved, 0) + m
+        mult = grown
+    return mult
 
-    Those lambda are the irreducible S_n-modules that occur in the k-th
-    tensor power of the permutation module, so this is the dimension of the
-    image of the group algebra in End(V^(tensor k)).  No elimination is
-    involved, so it checks the computed ranks independently.
+
+def perm_span_expected(n: int, k: int) -> int:
+    """Closed form of perm_span_dim: the sum of (f^lambda)^2 over the lambda with m_lambda > 0 in `_isotypic`.
+
+    By Wedderburn the image of C[S_n] in End(V^(tensor k)) is the sum of End(S^lambda) over those lambda.  No
+    elimination is involved, so it checks the computed ranks independently.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
-    total = 0
-    for first in range(n, max(n - k, 1) - 1, -1):  # lambda_1 >= n - k
-        for rest in _partitions(n - first, first):
-            total += _standard_tableaux((first,) + rest) ** 2
-    return total
+    return sum(_standard_tableaux(shape) ** 2 for shape in _isotypic(n, k))
 
 
 class VerificationReport(_Record):

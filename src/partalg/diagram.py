@@ -74,7 +74,9 @@ class Diagram(_Record):
 
 
 def parse_diagram(text: str, k: int | None = None) -> Diagram:
-    """Parse diagram text, inferring k from the largest vertex label."""
+    """Parse diagram text, inferring k from the largest vertex label; a k given must be positive."""
+    if k is not None and k < 1:
+        raise ValueError("k must be a positive integer")
     text = text.strip()
     if text.startswith("rgs:"):
         p = setpart.parse_text(text)

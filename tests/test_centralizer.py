@@ -5,7 +5,7 @@ import time
 from functools import cache
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, gcd, prod
+from math import factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -850,52 +850,11 @@ def _integer_partitions(n: int, largest: int | None = None):
             yield (first,) + rest
 
 
-def _standard_tableaux(shape: tuple[int, ...]) -> int:
-    # hook-length formula
-    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
-    hooks = (shape[i] - j + cols[j] - i - 1 for i in range(len(shape)) for j in range(shape[i]))
-    return factorial(sum(shape)) // prod(hooks)
-
-
-def _perm_span_closed_form(n: int, k: int) -> int:
-    # dimension of the image of C[S_n] in End(V^{(x)k}): sum of (f^lambda)^2
-    # over the irreducibles lambda that occur, those with n - lambda_1 <= k
-    return sum(
-        _standard_tableaux(shape) ** 2
-        for shape in _integer_partitions(n)
-        if n - shape[0] <= k
-    )
-
-
-def test_perm_span_and_diagram_commutant_match_the_closed_form():
-    expected = {1: [1, 2, 5, 10, 17], 2: [1, 2, 6, 23, 78]}
-    for k, dims in expected.items():
-        assert [_perm_span_closed_form(n, k) for n in range(1, 6)] == dims
-    for k in (1, 2):
-        for n in range(1, 6):
-            rep = verify_schur_weyl(n, k)
-            closed = _perm_span_closed_form(n, k)
-            assert rep.perm_span_dim == rep.commutant_of_diagrams_dim == closed, (n, k)
-            assert rep.perm_span_expected == closed and rep.double_commutant_verdict
-    for n in range(1, 9):
-        for k in range(1, 5):
-            assert perm_span_expected(n, k) == _perm_span_closed_form(n, k), (n, k)
-    with pytest.raises(ValueError):
-        perm_span_expected(0, 1)
-
-
 def _corner_removed(shape: tuple[int, ...]):
     # each shape with one corner box of `shape` removed
     for i, row in enumerate(shape):
         if i + 1 == len(shape) or shape[i + 1] < row:
             yield shape[:i] + (row - 1,) * (row > 1) + shape[i + 1:]
-
-
-def _corner_added(shape: tuple[int, ...]):
-    # each shape with one box added at the end of a row, or as a new row
-    for i, row in enumerate(shape + (0,)):
-        if i == 0 or shape[i - 1] > row:
-            yield shape[:i] + (row + 1,) + shape[i + 1:]
 
 
 @cache
@@ -904,30 +863,58 @@ def _lattice_paths(shape: tuple[int, ...]) -> int:
     return 1 if sum(shape) <= 1 else sum(_lattice_paths(s) for s in _corner_removed(shape))
 
 
-def _isotypic_multiplicities(n: int, k: int) -> dict[tuple[int, ...], int]:
-    # V^(x)k = sum_lambda m_lambda S^lambda: tensoring with V removes one box and adds one, from lambda = (n)
-    mult = {(n,): 1}
-    for _ in range(k):
-        grown: dict[tuple[int, ...], int] = {}
-        for shape, m in mult.items():
-            for smaller in _corner_removed(shape):
-                for larger in _corner_added(smaller):
-                    grown[larger] = grown.get(larger, 0) + m
-        mult = grown
-    return mult
+def _occurring_shapes(n: int, k: int) -> set[tuple[int, ...]]:
+    # the lambda |- n that occur in V^(x)k are those with n - lambda_1 <= k
+    return {shape for shape in _integer_partitions(n) if n - shape[0] <= k}
+
+
+def _perm_span_by_branching(n: int, k: int) -> int:
+    # dimension of the image of C[S_n] in End(V^(x)k): sum of (f^lambda)^2 over the lambda that occur,
+    # each f^lambda counted up Young's lattice, so it shares no code with the walk or the hook formula
+    return sum(_lattice_paths(shape) ** 2 for shape in _occurring_shapes(n, k))
+
+
+def test_perm_span_and_diagram_commutant_match_the_closed_form():
+    expected = {1: [1, 2, 5, 10, 17], 2: [1, 2, 6, 23, 78]}
+    for k, dims in expected.items():
+        assert [_perm_span_by_branching(n, k) for n in range(1, 6)] == dims
+    for k in (1, 2):
+        for n in range(1, 6):
+            rep = verify_schur_weyl(n, k)
+            closed = _perm_span_by_branching(n, k)
+            assert rep.perm_span_dim == rep.commutant_of_diagrams_dim == closed, (n, k)
+            assert rep.perm_span_expected == closed and rep.double_commutant_verdict
+    for n in range(1, 9):
+        for k in range(1, 5):
+            assert perm_span_expected(n, k) == _perm_span_by_branching(n, k), (n, k)
+    with pytest.raises(ValueError):
+        perm_span_expected(0, 1)
 
 
 def test_the_young_lattice_walk_checks_every_closed_form():
-    # each closed form a verdict compares with, against a walk that shares no code with it
-    assert _isotypic_multiplicities(3, 1) == {(3,): 1, (2, 1): 1}  # V = S^(3) + S^(2,1)
-    assert _isotypic_multiplicities(2, 2) == {(2,): 2, (1, 1): 2}
+    # each closed form a verdict compares with, against the walk `perm_span_expected` sums over
+    assert centralizer._isotypic(3, 1) == {(3,): 1, (2, 1): 1}  # V = S^(3) + S^(2,1)
+    assert centralizer._isotypic(2, 2) == {(2,): 2, (1, 1): 2}
     assert [_lattice_paths(shape) for shape in ((3,), (2, 1), (1, 1, 1), (3, 2))] == [1, 2, 1, 5]
     for n in range(1, 16):
         for k in range(1, 9):
-            mult = _isotypic_multiplicities(n, k)
+            mult = centralizer._isotypic(n, k)
+            assert set(mult) == _occurring_shapes(n, k), (n, k)
             assert sum(m * m for m in mult.values()) == centralizer_dimension(n, k), (n, k)
             assert sum(m * _lattice_paths(shape) for shape, m in mult.items()) == n**k, (n, k)
             assert sum(_lattice_paths(shape) ** 2 for shape in mult) == perm_span_expected(n, k), (n, k)
+
+
+def test_every_irreducible_occurs_from_k_equal_n_minus_one():
+    # sum_(lambda |- n) (f^lambda)^2 = n!: from k = n - 1 on the image of C[S_n] is all of it, below that it is smaller
+    for k in range(1, 6):
+        assert centralizer._isotypic(1, k) == {(1,): 1}
+    for n in range(1, 11):
+        for k in range(1, n + 3):
+            if k >= n - 1:
+                assert perm_span_expected(n, k) == factorial(n), (n, k)
+            else:
+                assert perm_span_expected(n, k) < factorial(n), (n, k)
 
 
 def test_double_commutant_verdict_needs_the_closed_form():

@@ -430,6 +430,21 @@ def test_a_huge_k_with_few_vertices_is_a_usage_error_at_once(capsys, argv, missi
     assert err.endswith(f"vertex {missing} is missing from the blocks\n") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagrams", "classify", "--diagram", "1|1'"],
+        ["diagrams", "multiply", "--lhs", "1|1'", "--rhs", "1,1'"],
+        ["rep", "matrix", "--n", "2", "--diagram", "1|1'"],
+        ["rep", "matrix", "--n", "2", "--diagram", "rgs:0,0"],
+    ],
+)
+def test_a_k_below_one_with_a_diagram_is_one_usage_error(capsys, argv, k):
+    code, out, err = run(capsys, *argv, "--k", k)
+    assert (code, out, err) == (2, "", "usage error: k must be a positive integer\n")
+
+
 def test_large_restricted_partition_counts_finish_fast(capsys):
     for argv, want in [
         (["count", "partitions", "--g", "600", "--max-blocks", "600"], bell_number(600)),

@@ -109,6 +109,14 @@ def test_parse_diagram_infers_k_from_largest_vertex():
         parse_diagram("1,1'|2,2'", k=3)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("text", ["1|1'", "1,1'", "rgs:0,0"])
+def test_parse_diagram_refuses_a_k_below_one_before_reading_the_text(text, k):
+    with pytest.raises(ValueError) as exc:
+        parse_diagram(text, k)
+    assert str(exc.value) == "k must be a positive integer"
+
+
 def test_identity_diagram():
     assert identity(1).to_text() == "1,1'"
     assert identity(3).part.rgs == (0, 1, 2, 0, 1, 2)
