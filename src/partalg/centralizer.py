@@ -10,13 +10,15 @@ permutation matrix is, as plain ints; an all-int row is read in one pass,
 with no denominator step, so no `Fraction` is built on that path.
 
 A commutant eliminates only the rows of its generators that are neither
-permutation nor diagonal matrices, in orbit unknowns (`commutant_dimension`);
-a span eliminates one row per matrix, in column classes refined matrix by
-matrix from each position read once, the rows read from their split tree
+permutation nor diagonal matrices, in orbit unknowns, rarest first
+(`commutant_dimension`, in the column order of `rank_of_rows`); a span
+eliminates one row per matrix, in column classes refined matrix by matrix
+from each position read once, the rows read from their split tree
 (`span_rank`).  The permutation span is certified mod 2 instead
 (`perm_span_dim`): its rows are int bitsets in a `_BitEchelon`, the
 `Echelon` that reduces by XOR, keyed by the live orbit unknowns of the
-diagram commutant (`_commutant_system`).
+diagram commutant (`_commutant_system`), whose commutator rows, reduced
+mod 2 as formed, give its upper bound.
 
 There are no size caps.  What a layer allocates or reads is counted before
 it eliminates and passed to `rep.check_budget`; the elimination is metered
@@ -26,7 +28,9 @@ Over the limit, either raises `BudgetExceededError`.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -56,7 +60,7 @@ def _integer_row(row: Mapping[int, object]) -> dict[int, int]:
     Entries are ints or Fractions (any rational with `numerator` and
     `denominator`).  An all-int row is read once into the dict returned,
     which is always fresh, so `Echelon.add` may reduce it in place.  No
-    content or sign step: `_primitive` runs once, where a row is kept.
+    content or sign step: `_primitive` runs where a row is kept.
     """
     ints = {i: v for i, v in row.items() if v}
     for v in ints.values():
@@ -164,10 +168,24 @@ class _BitEchelon(Echelon):
 
 
 def rank_of_rows(rows: Iterable[Mapping[int, object]], what: str = "elimination") -> int:
-    """Rank of a set of sparse rational rows, by exact integer elimination metered as `what`."""
+    """Rank of a set of sparse rational rows, by exact integer elimination metered as `what`.
+
+    The one owner of the elimination order: the rows are read once, the
+    columns numbered by how few rows use them, ties broken by the key, and
+    the rows fed in descending order of their renumbered entries, so the
+    echelon pivots on the rarest unknowns first and fills in little
+    (Markowitz, 1957).  A column permutation leaves the rank unchanged.
+    """
+    rows = [r for r in rows if r]
+    uses = Counter(chain.from_iterable(rows))
+    number = {c: i for i, c in enumerate(sorted(uses, key=lambda c: (uses[c], c)))}
+    for i, r in enumerate(rows):  # in place and flat, (column, entry, column, entry, ...): each row held once, small
+        rows[i] = tuple(chain.from_iterable(sorted([(number[c], v) for c, v in r.items()])))
+    rows.sort()  # as the rows of sorted (column, entry) pairs would sort
     echelon = Echelon(what)
-    for row in rows:
-        echelon.add(row)
+    while rows:  # descending, each row dropped as it is fed
+        r = rows.pop()
+        echelon.add(dict(zip(r[::2], r[1::2])))
     return echelon.rank
 
 
@@ -236,19 +254,20 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
     G[a, a] != G[b, b], which kills whole orbits.  Only the rows of
     XG - GX = 0 of the other generators reach `rank_of_rows`, reduced by the
     classes of equal rows and columns of G (`_orbit_commutator_rows`): in
-    the live orbit unknowns, primitive, distinct and in descending order.
-    At the (7, 2) diagram commutant that is 588 rows of p_1 (2352 distinct
-    of all D^2) and 175,092 `Echelon.updates`, against 1,186,553 in
-    ascending order.  The dimension is live orbits minus rank.
+    the live orbit unknowns, made primitive and distinct here, in the order
+    of `rank_of_rows`.  At the (7, 2) diagram commutant that is 588 rows of
+    p_1 (2352 distinct of all D^2) and 54,793 `Echelon.updates`, against
+    175,092 in descending order of the orbit labels.  The dimension is live
+    orbits minus rank.
 
     The D*D positions are checked before labelling, and the D*D positions
     plus the 2 * D * nnz terms the other generators' rows read before the
     first row is formed; the elimination is metered.
     """
     dim, live, _, rows = _commutant_system(generators)
-    rows = {tuple(sorted(row.items())) for row in rows}
+    rows = {tuple(sorted(_primitive(row).items())) for row in map(_integer_row, rows) if row}
     what = f"commutant at dimension {dim} eliminating {len(rows)} rows in {live} orbit unknowns"
-    return live - rank_of_rows((dict(row) for row in sorted(rows, reverse=True)), what)
+    return live - rank_of_rows(map(dict, rows), what)
 
 
 def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, list[int], Iterator[dict[int, int | Fraction]]]:
@@ -326,7 +345,7 @@ def _position_orbits(dim: int, perms: Sequence[Sequence[int]]) -> tuple[list[int
 
 
 def _orbit_commutator_rows(g: SparseMat, label: Sequence[int]) -> Iterator[dict[int, int | Fraction]]:
-    """Rows spanning XG - GX = 0 in orbit unknowns, each nonzero, primitive and with a positive lead.
+    """Rows spanning XG - GX = 0 in orbit unknowns, as formed: not cleared of zeros or denominators, not made primitive.
 
     Unknown X[i, j] is orbit label[i * dim + j], or 0 where that label is
     -1.  Integral entries of G enter the rows as ints.  Equal columns l ~ l'
@@ -347,33 +366,27 @@ def _orbit_commutator_rows(g: SparseMat, label: Sequence[int]) -> Iterator[dict[
     col_class: dict[tuple, int] = {}  # column of G -> its first index
     col_rep = [col_class.setdefault(tuple(col), l) for l, col in enumerate(g_cols)]
     row_reps = {tuple(row): i for i, row in enumerate(g_rows)}.values()
-
-    def rows() -> Iterator[dict[int, int | Fraction]]:
-        for i in range(dim):
-            for l in col_class.values():
-                row: dict[int, int | Fraction] = {}
-                for j, v in g_cols[l]:  # (XG)_{i,l} = sum_j X[i,j] G[j,l]
-                    o = label[i * dim + j]
-                    if o >= 0:
-                        row[o] = row.get(o, 0) + v
-                for j, v in g_rows[i]:  # (GX)_{i,l} = sum_j G[i,j] X[j,l]
-                    o = label[j * dim + l]
-                    if o >= 0:
-                        row[o] = row.get(o, 0) - v
+    for i in range(dim):
+        for l in col_class.values():
+            row: dict[int, int | Fraction] = {}
+            for j, v in g_cols[l]:  # (XG)_{i,l} = sum_j X[i,j] G[j,l]
+                o = label[i * dim + j]
+                if o >= 0:
+                    row[o] = row.get(o, 0) + v
+            for j, v in g_rows[i]:  # (GX)_{i,l} = sum_j G[i,j] X[j,l]
+                o = label[j * dim + l]
+                if o >= 0:
+                    row[o] = row.get(o, 0) - v
+            yield row
+    for i in row_reps:
+        for l, rep_l in enumerate(col_rep):
+            if rep_l != l:
+                row = {}
+                for j, v in g_rows[i]:  # sum_j G[i,j] (X[j,rep l] - X[j,l])
+                    for o, w in ((label[j * dim + rep_l], v), (label[j * dim + l], -v)):
+                        if o >= 0:
+                            row[o] = row.get(o, 0) + w
                 yield row
-        for i in row_reps:
-            for l, rep_l in enumerate(col_rep):
-                if rep_l != l:
-                    row = {}
-                    for j, v in g_rows[i]:  # sum_j G[i,j] (X[j,rep l] - X[j,l])
-                        for o, w in ((label[j * dim + rep_l], v), (label[j * dim + l], -v)):
-                            if o >= 0:
-                                row[o] = row.get(o, 0) + w
-                    yield row
-
-    for row in map(_integer_row, rows()):
-        if row:
-            yield _primitive(row)
 
 
 def centralizer_dimension(n: int, k: int) -> int:
@@ -418,8 +431,10 @@ def perm_span_dim(n: int, k: int) -> int:
 
     The rank is certified by L <= dim <= U, with no elimination over Z:
       L is the closure's rank mod 2: 0/1 rows independent mod 2 are independent over Q;
-      U is n!, the number of matrices, or else the live orbits minus the rank mod 2 of
-      the commutator rows, which is at least the dimension of the diagram commutant.
+      U is n!, the number of matrices, or else the live orbits minus the rank mod 2 of the
+      integer commutator rows as `_orbit_commutator_rows` forms them, not made primitive:
+      integer rows independent mod 2 are independent over Q, and these rows span what the
+      diagram commutant's primitive rows span, so U is at least that commutant's dimension.
       L = U proves dim = L; else the closure runs again over Z.
 
     The matrices and positions are budgeted by `matrix` and `_commutant_system`,
