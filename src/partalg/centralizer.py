@@ -10,15 +10,16 @@ permutation matrix is, as plain ints; an all-int row is read in one pass,
 with no denominator step, so no `Fraction` is built on that path.
 
 A commutant eliminates only the rows of its generators that are neither
-permutation nor diagonal matrices, in orbit unknowns, rarest first
-(`commutant_dimension`, in the column order of `rank_of_rows`); a span
-eliminates one row per matrix, in column classes refined matrix by matrix
-from each position read once, the rows read from their split tree
+permutation nor diagonal matrices, in orbit unknowns, rarest first:
+`commutant_dimension` hands them to `rank_of_rows` as they are formed, and
+its one read clears, renumbers, makes primitive and deduplicates them.  A
+span eliminates one row per matrix, in column classes refined matrix by
+matrix from each position read once, the rows read from their split tree
 (`span_rank`).  The permutation span is certified mod 2 instead
 (`perm_span_dim`): its rows are int bitsets in a `_BitEchelon`, the
 `Echelon` that reduces by XOR, keyed by the live orbit unknowns of the
-diagram commutant (`_commutant_system`), whose commutator rows, reduced
-mod 2 as formed, give its upper bound.
+diagram commutant (`_commutant_system`).  Its upper bound takes the same
+walk over the commutator rows, each XORed into a bitset as it is formed.
 
 There are no size caps.  What a layer allocates or reads is counted before
 it eliminates and passed to `rep.check_budget`; the elimination is metered
@@ -60,7 +61,7 @@ def _integer_row(row: Mapping[int, object]) -> dict[int, int]:
     Entries are ints or Fractions (any rational with `numerator` and
     `denominator`).  An all-int row is read once into the dict returned,
     which is always fresh, so `Echelon.add` may reduce it in place.  No
-    content or sign step: `_primitive` runs where a row is kept.
+    content or sign step: a row is made primitive where it is kept.
     """
     ints = {i: v for i, v in row.items() if v}
     for v in ints.values():
@@ -114,8 +115,11 @@ class Echelon:
 
     def add(self, row: Mapping[int, object]) -> bool:
         """Reduce the row; True when it was independent and joined the basis."""
+        return self._reduce(_integer_row(row))
+
+    def _reduce(self, r: dict[int, int]) -> bool:
+        """`add` for a fresh int row with no zeros, which is reduced in place."""
         basis = self.basis
-        r = _integer_row(row)
         self.updates += len(r)
         while r:
             if self.updates > self.limit:
@@ -167,25 +171,31 @@ class _BitEchelon(Echelon):
         return False
 
 
-def rank_of_rows(rows: Iterable[Mapping[int, object]], what: str = "elimination") -> int:
+def rank_of_rows(rows: Iterable[Mapping[int, object]], what: str | Callable[[int], str] = "elimination") -> int:
     """Rank of a set of sparse rational rows, by exact integer elimination metered as `what`.
 
-    The one owner of the elimination order: the rows are read once, the
-    columns numbered by how few rows use them, ties broken by the key, and
-    the rows fed in descending order of their renumbered entries, so the
+    The one owner of the elimination order.  In one read the rows are
+    cleared of denominators and zeros, the columns numbered by how few rows
+    use them, ties broken by the key, and each row renumbered, made
+    primitive with a positive leading entry and kept once.  The distinct
+    rows are fed in descending order of their renumbered entries, so the
     echelon pivots on the rarest unknowns first and fills in little
     (Markowitz, 1957).  A column permutation leaves the rank unchanged.
+    `what` is the echelon's name, or a function of the distinct row count.
     """
-    rows = [r for r in rows if r]
-    uses = Counter(chain.from_iterable(rows))
+    # each row as read held once, as (its columns, its entries): small where many rows repeat
+    rows = list({(tuple(r), tuple(r.values())) for r in map(_integer_row, rows) if r})
+    uses = Counter(chain.from_iterable(columns for columns, _ in rows))
     number = {c: i for i, c in enumerate(sorted(uses, key=lambda c: (uses[c], c)))}
-    for i, r in enumerate(rows):  # in place and flat, (column, entry, column, entry, ...): each row held once, small
-        rows[i] = tuple(chain.from_iterable(sorted([(number[c], v) for c, v in r.items()])))
-    rows.sort()  # as the rows of sorted (column, entry) pairs would sort
-    echelon = Echelon(what)
+    for i, (columns, entries) in enumerate(rows):  # in place and flat, (column, entry, column, entry, ...)
+        pairs = sorted(zip(map(number.__getitem__, columns), entries))
+        g = -gcd(*entries) if pairs[0][1] < 0 else gcd(*entries)  # primitive, leading entry positive
+        rows[i] = tuple(chain.from_iterable(pairs if g == 1 else [(c, v // g) for c, v in pairs]))
+    rows = sorted(set(rows))  # as the rows of sorted (column, entry) pairs would sort
+    echelon = Echelon(what if isinstance(what, str) else what(len(rows)))
     while rows:  # descending, each row dropped as it is fed
         r = rows.pop()
-        echelon.add(dict(zip(r[::2], r[1::2])))
+        echelon._reduce(dict(zip(r[::2], r[1::2])))
     return echelon.rank
 
 
@@ -254,24 +264,40 @@ def commutant_dimension(generators: Sequence[SparseMat]) -> int:
     G[a, a] != G[b, b], which kills whole orbits.  Only the rows of
     XG - GX = 0 of the other generators reach `rank_of_rows`, reduced by the
     classes of equal rows and columns of G (`_orbit_commutator_rows`): in
-    the live orbit unknowns, made primitive and distinct here, in the order
-    of `rank_of_rows`.  At the (7, 2) diagram commutant that is 588 rows of
-    p_1 (2352 distinct of all D^2) and 54,793 `Echelon.updates`, against
-    175,092 in descending order of the orbit labels.  The dimension is live
-    orbits minus rank.
+    the live orbit unknowns, as formed, made primitive and distinct by the
+    one read of `rank_of_rows`, in its order.  At the (7, 2) diagram
+    commutant that is 588 distinct rows of p_1 (2352 distinct of all D^2)
+    and 50,965 `Echelon.updates`, against 175,092 in descending order of the
+    orbit labels.  The dimension is live orbits minus rank.
 
     The D*D positions are checked before labelling, and the D*D positions
     plus the 2 * D * nnz terms the other generators' rows read before the
     first row is formed; the elimination is metered.
     """
     dim, live, _, rows = _commutant_system(generators)
-    rows = {tuple(sorted(_primitive(row).items())) for row in map(_integer_row, rows) if row}
-    what = f"commutant at dimension {dim} eliminating {len(rows)} rows in {live} orbit unknowns"
-    return live - rank_of_rows(map(dict, rows), what)
+    return live - rank_of_rows(rows, lambda count: f"commutant at dimension {dim} eliminating {count} rows in {live} orbit unknowns")
 
 
-def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, list[int], Iterator[dict[int, int | Fraction]]]:
-    """The dimension, the live orbit count, each position's orbit label (-1 where dead) and the commutator rows, read lazily."""
+def _sum_row(terms: Iterator) -> dict[int, int | Fraction]:
+    """The commutator row over Z, live unknowns only, as formed: not cleared of zeros or denominators, not made primitive."""
+    row: dict[int, int | Fraction] = {}
+    for o, v in terms:
+        if o >= 0:
+            row[o] = row.get(o, 0) + v
+    return row
+
+
+def _bit_row(terms: Iterator) -> int:
+    """The integral commutator row mod 2: its live unknowns with odd entries XORed into one bitset."""
+    x = 0
+    for o, v in terms:
+        if v & 1 and o >= 0:
+            x ^= 1 << o
+    return x
+
+
+def _commutant_system(generators: Sequence[SparseMat], row: Callable[[Iterator], object] = _sum_row) -> tuple[int, int, list[int], Iterator]:
+    """The dimension, the live orbit count, each position's orbit label (-1 where dead) and the commutator rows, read lazily, each made by `row`."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -300,10 +326,10 @@ def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, list[i
             dead.update([label[a * dim + b] for b in cols[value]])
     label = [-1 if o in dead else o for o in label]
 
-    def rows() -> Iterator[dict[int, int | Fraction]]:
+    def rows() -> Iterator:
         check_budget(dim * dim + terms, what)
         for g in others:
-            yield from _orbit_commutator_rows(g, label)
+            yield from _orbit_commutator_rows(g, label, row)
 
     return dim, count - len(dead), label, rows()
 
@@ -344,49 +370,44 @@ def _position_orbits(dim: int, perms: Sequence[Sequence[int]]) -> tuple[list[int
     return label, count
 
 
-def _orbit_commutator_rows(g: SparseMat, label: Sequence[int]) -> Iterator[dict[int, int | Fraction]]:
-    """Rows spanning XG - GX = 0 in orbit unknowns, as formed: not cleared of zeros or denominators, not made primitive.
+def _orbit_commutator_rows(g: SparseMat, label: Sequence[int], row: Callable[[Iterator], object]) -> Iterator:
+    """Rows spanning XG - GX = 0 in orbit unknowns, each made by `row(terms)`.
 
-    Unknown X[i, j] is orbit label[i * dim + j], or 0 where that label is
-    -1.  Integral entries of G enter the rows as ints.  Equal columns l ~ l'
-    of G give equal entries (XG)_{i,l} = (XG)_{i,l'}, so the D^2 rows R(i, l)
-    span what these span: R(i, l) at each column-class representative l, and
-    for each other l the difference R(i, l) - R(i, rep l) = (GX)_{i,rep l} -
-    (GX)_{i,l}, which depends on i only through row i of G, so it is formed
-    once per class of equal rows.
+    `terms` iterates the row's (orbit, entry) pairs, the orbit -1 where the
+    unknown is dead: `_sum_row` sums them into a dict over Z, `_bit_row`
+    XORs them into a bitset over GF(2).  Unknown X[i, j] is orbit
+    label[i * dim + j].  Integral entries of G enter the rows as ints.
+    Equal columns l ~ l' of G give equal entries (XG)_{i,l} = (XG)_{i,l'}, so
+    the D^2 rows R(i, l) span what these span: R(i, l) at each column-class
+    representative l, and for each other l the difference R(i, l) - R(i, rep
+    l) = (GX)_{i,rep l} - (GX)_{i,l}, which depends on i only through row i
+    of G, so it is formed once per class of equal rows.
     """
     dim = g.dim
-    g_rows: list[list] = [[] for _ in range(dim)]
-    g_cols: list[list] = [[] for _ in range(dim)]
+    g_rows: list = [[] for _ in range(dim)]
+    g_cols: list = [[] for _ in range(dim)]
     for p, v in zip(g._ranks, g.values):
         r, c = divmod(p, dim)
         v = v.numerator if v.denominator == 1 else v
         g_rows[r].append((c, v))
         g_cols[c].append((r, v))
+    # each row of G as (its columns, their entries), each column as (its rows, their entries)
+    g_rows, g_cols = ([tuple(zip(*line)) or ((), ()) for line in lines] for lines in (g_rows, g_cols))
     col_class: dict[tuple, int] = {}  # column of G -> its first index
-    col_rep = [col_class.setdefault(tuple(col), l) for l, col in enumerate(g_cols)]
-    row_reps = {tuple(row): i for i, row in enumerate(g_rows)}.values()
+    col_rep = [col_class.setdefault(col, l) for l, col in enumerate(g_cols)]
+    row_classes = {row: i for i, row in enumerate(g_rows)}.values()  # one row of G per class of equal rows
+    negated = [tuple(-v for v in vs) for _, vs in g_rows]  # the entries of -G, row by row
+    at_col = {l: label[l::dim].__getitem__ for l in col_class.values()}  # X[j, l] at j
     for i in range(dim):
-        for l in col_class.values():
-            row: dict[int, int | Fraction] = {}
-            for j, v in g_cols[l]:  # (XG)_{i,l} = sum_j X[i,j] G[j,l]
-                o = label[i * dim + j]
-                if o >= 0:
-                    row[o] = row.get(o, 0) + v
-            for j, v in g_rows[i]:  # (GX)_{i,l} = sum_j G[i,j] X[j,l]
-                o = label[j * dim + l]
-                if o >= 0:
-                    row[o] = row.get(o, 0) - v
-            yield row
-    for i in row_reps:
-        for l, rep_l in enumerate(col_rep):
-            if rep_l != l:
-                row = {}
-                for j, v in g_rows[i]:  # sum_j G[i,j] (X[j,rep l] - X[j,l])
-                    for o, w in ((label[j * dim + rep_l], v), (label[j * dim + l], -v)):
-                        if o >= 0:
-                            row[o] = row.get(o, 0) + w
-                yield row
+        at_row, js = label[i * dim:(i + 1) * dim].__getitem__, g_rows[i][0]  # X[i, j] at j
+        for l, at_l in at_col.items():  # (XG)_{i,l} = sum_j X[i,j] G[j,l], minus (GX)_{i,l} = sum_j G[i,j] X[j,l]
+            yield row(chain(zip(map(at_row, g_cols[l][0]), g_cols[l][1]), zip(map(at_l, js), negated[i])))
+    for l, rep_l in enumerate(col_rep):
+        if rep_l != l:
+            at_l, at_rep = label[l::dim].__getitem__, at_col[rep_l]
+            for i in row_classes:  # sum_j G[i,j] (X[j,rep l] - X[j,l])
+                js, vs = g_rows[i]
+                yield row(chain(zip(map(at_rep, js), vs), zip(map(at_l, js), negated[i])))
 
 
 def centralizer_dimension(n: int, k: int) -> int:
@@ -432,9 +453,10 @@ def perm_span_dim(n: int, k: int) -> int:
     The rank is certified by L <= dim <= U, with no elimination over Z:
       L is the closure's rank mod 2: 0/1 rows independent mod 2 are independent over Q;
       U is n!, the number of matrices, or else the live orbits minus the rank mod 2 of the
-      integer commutator rows as `_orbit_commutator_rows` forms them, not made primitive:
-      integer rows independent mod 2 are independent over Q, and these rows span what the
-      diagram commutant's primitive rows span, so U is at least that commutant's dimension.
+      integer commutator rows of `_orbit_commutator_rows`, each XORed into a bitset as it is
+      formed (`_bit_row`), not made primitive: integer rows independent mod 2 are independent
+      over Q, and these rows span what the diagram commutant's primitive rows span, so U is
+      at least that commutant's dimension.
       L = U proves dim = L; else the closure runs again over Z.
 
     The matrices and positions are budgeted by `matrix` and `_commutant_system`,
@@ -445,7 +467,7 @@ def perm_span_dim(n: int, k: int) -> int:
         raise ValueError("n and k must be positive integers")
     diagrams = partition_algebra_generators(k)
     mats = [matrix(d, n) for d in diagrams]
-    dim, live, label, rows = _commutant_system(mats)
+    dim, live, label, rows = _commutant_system(mats, _bit_row)
     gens = [_permutation(perm_matrix(s, k)) for s in symmetric_group_generators(n)]
     for d, m in zip(diagrams, mats):
         entries = dict(zip(m._ranks, m.values))
@@ -454,11 +476,12 @@ def perm_span_dim(n: int, k: int) -> int:
                 raise RuntimeError(f"permutation span at (n, k) = ({n}, {k}): a generator of S_{n} does not commute with the diagram {d}")
     what = f"permutation span at (n, k) = ({n}, {k})"
     width = (max(label) + 8) // 8
+    columns = [label[c * dim:(c + 1) * dim] for c in range(dim)]  # keyed column-major: the product's (r, c) at columns[c][r]
 
     def bits(p: list[int]) -> int:
         row = bytearray(width)
         for r, c in enumerate(p):
-            o = label[c * dim + r]
+            o = columns[c][r]
             row[o >> 3] |= 1 << (o & 7)
         return int.from_bytes(row, "little")
 
@@ -467,12 +490,13 @@ def perm_span_dim(n: int, k: int) -> int:
         return lower
     upper = _BitEchelon(f"commutant at dimension {dim} mod 2 in {live} orbit unknowns")
     # distinct and ascending: 7.3 M words at (6, 3), against 9.8 M unsorted and 23 M descending
-    for x in sorted({sum(1 << o for o, v in row.items() if v & 1) for row in rows}):
-        upper.add(x)
+    rows = sorted(set(rows), reverse=True)
+    while rows:  # ascending, each row dropped as it is fed
+        upper.add(rows.pop())
     if lower == live - upper.rank:
         return lower
     # keyed column-major: fewer updates than row-major in this closure
-    return _closure_rank(gens, Echelon(what), lambda p: {label[c * dim + r]: 1 for r, c in enumerate(p)})
+    return _closure_rank(gens, Echelon(what), lambda p: {columns[c][r]: 1 for r, c in enumerate(p)})
 
 
 def _closure_rank(gens: Sequence[list[int]], echelon: Echelon, row: Callable[[list[int]], object]) -> int:

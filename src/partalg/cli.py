@@ -3,6 +3,9 @@ With --json every result is one compact JSON document per line.  Exit code
 0 means every requested check passed; usage problems exit 2, runtime
 failures exit 1.
 
+A failed write to stdout exits 1 too, after one `error:` line, or with no
+line when the reader closed the pipe; an interrupt exits 130 after one line.
+
 Every subcommand is one entry of `_COMMANDS`, keyed by "group action".  An
 entry holds the subcommand's argparse flags, a validator that turns the
 parsed flags into a payload dict or raises ValueError (which `parse` turns
@@ -20,6 +23,7 @@ library's record decorator or `inspect`; only --json imports `json`.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import types
 from typing import Callable, Iterable, NamedTuple
@@ -111,10 +115,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         with partalg.setpart._all_digits():  # argument parsing above keeps the limit
-            return execute(cmd)
+            code = execute(cmd)
+        if sys.stdout:  # None when the process started with stdout closed; print then drops the output
+            sys.stdout.flush()  # a closed or full stdout fails here, not at exit
+        return code
     except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except OSError as err:  # a failed write to stdout
+        # as the signal module's note on SIGPIPE: what is still buffered, flushed at exit, goes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(err, BrokenPipeError):  # a reader that left wants no more output, nor a message
+            print(f"error: {err}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 # Input checks --------------------------------------------------------------

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 from functools import cache
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -536,8 +538,8 @@ def test_the_permutation_span_is_certified_without_elimination_over_z(monkeypatc
     # k >= n - 1: the lower bound reaches n!, and no commutator row is read
     system = centralizer._commutant_system
 
-    def unread(generators):
-        dim, live, label, _ = system(generators)
+    def unread(generators, *row):
+        dim, live, label, _ = system(generators, *row)
 
         def rows():
             raise AssertionError("a commutator row was read")
@@ -555,8 +557,8 @@ def test_an_upper_bound_that_misses_runs_the_integer_closure(monkeypatch):
     system = centralizer._commutant_system
     made = []
 
-    def one_more_orbit(generators):  # the upper bound, live orbits minus a rank mod 2, grows by one
-        dim, live, label, rows = system(generators)
+    def one_more_orbit(generators, *row):  # the upper bound, live orbits minus a rank mod 2, grows by one
+        dim, live, label, rows = system(generators, *row)
         return dim, live + 1, label, rows
 
     class Recorded(Echelon):
@@ -585,6 +587,64 @@ def test_the_raw_rows_bound_the_permutation_span_as_the_primitive_rows_do():
         assert n < 2 or primitive != cleared, (n, k)  # the rows as formed are not all primitive already
 
 
+def _formed_rows_oracle(g: SparseMat, label: list[int]):
+    # each commutator row as one dict, summed term by term at label[r * dim + c], over the same
+    # classes of equal rows and columns of G
+    dim = g.dim
+    g_rows: list[list] = [[] for _ in range(dim)]
+    g_cols: list[list] = [[] for _ in range(dim)]
+    for r, c, v in g.triples:
+        v = v.numerator if v.denominator == 1 else v
+        g_rows[r].append((c, v))
+        g_cols[c].append((r, v))
+    col_class: dict[tuple, int] = {}
+    col_rep = [col_class.setdefault(tuple(col), l) for l, col in enumerate(g_cols)]
+    row_reps = {tuple(row): i for i, row in enumerate(g_rows)}.values()
+    halves = [([(i * dim + j, v) for j, v in g_cols[l]], [(j * dim + l, v) for j, v in g_rows[i]])
+              for i in range(dim) for l in col_class.values()]
+    halves += [([(j * dim + col_rep[l], v) for j, v in g_rows[i]], [(j * dim + l, v) for j, v in g_rows[i]])
+               for i in row_reps for l in range(dim) if col_rep[l] != l]
+    for plus, minus in halves:
+        row: dict = {}
+        for p, v in plus + [(p, -v) for p, v in minus]:
+            if label[p] >= 0:
+                row[label[p]] = row.get(label[p], 0) + v
+        yield row
+
+
+def _fixture_verify_sizes() -> set[tuple[int, int]]:
+    cases = json.loads((Path(__file__).parent / "cli_fixture.json").read_text())
+    return {(int(c["argv"][3]), int(c["argv"][5])) for c in cases
+            if c["argv"][:3] == ["verify", "schur-weyl", "--n"] and c["argv"][4:5] == ["--k"] and c["exit"] == 0}
+
+
+def test_the_bitset_rows_are_the_formed_rows_mod_2():
+    # one walk, two accumulators: the rows over Z and the bitsets mod 2, against the dicts formed term by term
+    # and each reduced mod 2 as sum(1 << o for odd entries), on every verify size that passes in the CLI
+    # fixture and on n <= 6, k <= 3
+    sizes = _fixture_verify_sizes()
+    assert {(10, 1), (8, 2), (5, 3), (3, 4), (2, 5)} <= sizes
+    for n, k in sorted(sizes | set(product(range(1, 7), range(1, 4)))):
+        mats = [matrix(d, n) for d in partition_algebra_generators(k)]
+        dim, _, label, bits = centralizer._commutant_system(mats, centralizer._bit_row)
+        _, _, _, rows = centralizer._commutant_system(mats)
+        others = [g for g in mats if _permutation(g) is None and any(r != c for r, c, _ in g.triples)]
+        formed = [row for g in others for row in _formed_rows_oracle(g, label)]
+        assert sorted(bits) == sorted(sum(1 << o for o, v in row.items() if v % 2) for row in formed), (n, k)
+        assert sorted(sorted(row.items()) for row in rows) == sorted(sorted(row.items()) for row in formed), (n, k)
+    # even and odd integer entries, which the diagram matrices never have, beside a permutation that gives orbits
+    rng = random.Random(36)
+    for dim in (3, 4, 5, 6):
+        cycle = SparseMat(dim, [(r, (r + 1) % dim, 1) for r in range(dim)])
+        for _ in range(5):
+            g = SparseMat(dim, [(rng.randrange(dim), rng.randrange(dim), rng.randint(-3, 3)) for _ in range(2 * dim)])
+            if _permutation(g) is not None or all(r == c for r, c, _ in g.triples):
+                continue
+            _, _, label, bits = centralizer._commutant_system([cycle, g], centralizer._bit_row)
+            formed = list(_formed_rows_oracle(g, label))
+            assert sorted(bits) == sorted(sum(1 << o for o, v in row.items() if v % 2) for row in formed), (dim, g)
+
+
 def test_the_diagram_commutant_eliminates_its_rarest_unknowns_first(monkeypatch):
     made = []
 
@@ -594,12 +654,13 @@ def test_the_diagram_commutant_eliminates_its_rarest_unknowns_first(monkeypatch)
             made.append(self)
 
     monkeypatch.setattr(centralizer, "Echelon", Recorded)
-    # the Markowitz order of rank_of_rows: fed in descending order of the orbit labels instead,
-    # these rows took 18,237, 394,726 and 194,564 updates
+    # the Markowitz order of rank_of_rows, each row primitive with a positive leading entry in that order:
+    # fed in descending order of the orbit labels instead, these rows took 18,237, 394,726 and 194,564
+    # updates, and 8,341, 108,250 and 70,973 with the sign fixed at the least orbit label
     for n, k, dim, rows, live, rank, updates in (
-        (5, 2, 25, 200, 225, 147, 8341),
-        (8, 2, 64, 896, 1632, 741, 108250),
-        (5, 3, 125, 1600, 1025, 906, 70973),
+        (5, 2, 25, 200, 225, 147, 7985),
+        (8, 2, 64, 896, 1632, 741, 100202),
+        (5, 3, 125, 1600, 1025, 906, 67703),
     ):
         made.clear()
         assert commutant_dimension([matrix(d, n) for d in partition_algebra_generators(k)]) == live - rank, (n, k)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -489,3 +490,45 @@ def test_module_entry_point_runs_in_a_subprocess():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0 and proc.stdout == "15\n"
+
+
+def _cli_process(*argv: str, **kwargs) -> subprocess.Popen:
+    src = str(Path(partalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # stdout block-buffered, as it is by default on a pipe or a file, so a short output fails only when flushed
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, "-m", "partalg.cli", *argv], stderr=subprocess.PIPE,
+                            env={**env, "PYTHONPATH": path}, **kwargs)
+
+
+def test_a_reader_that_closes_the_pipe_gets_exit_1_and_no_traceback():
+    # `diagrams enumerate --k 5 | head -1`: 115,975 lines, far more than a pipe holds, fail while printing
+    proc = _cli_process("diagrams", "enumerate", "--k", "5", stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1,2,3,4,5,1',2',3',4',5'\n"
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+    proc.stderr.close()
+    # a reader gone before the child starts: one short line fails only when flushed
+    proc = _cli_process("count", "bell", "--g", "4", stdout=subprocess.PIPE)
+    proc.stdout.close()
+    assert (proc.wait(timeout=60), proc.stderr.read()) == (1, b"")
+    proc.stderr.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("diagrams", "enumerate", "--k", "3"), ("count", "bell", "--g", "4")])
+def test_a_failed_write_is_one_error_line_and_exit_1(argv):
+    # 203 lines fill the buffer and fail while printing; one short line fails only when flushed
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(*argv, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")
+def test_an_interrupt_is_one_line_and_exit_130():
+    proc = _cli_process("diagrams", "enumerate", "--k", "5", stdout=subprocess.PIPE)
+    proc.stdout.readline()  # the command is printing, and blocks on the full pipe until it is read
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (130, b"interrupted\n")
