@@ -3,8 +3,9 @@ With --json every result is one compact JSON document per line.  Exit code
 0 means every requested check passed; usage problems exit 2, runtime
 failures exit 1.
 
-A failed write to stdout exits 1 too, after one `error:` line, or with no
-line when the reader closed the pipe; an interrupt exits 130 after one line.
+A failed write to stdout, or a stdout closed at start-up, exits 1 too, after
+one `error:` line, or with no line when the reader closed the pipe; an
+interrupt exits 130 after one line.
 
 Every subcommand is one entry of `_COMMANDS`, keyed by "group action".  An
 entry holds the subcommand's argparse flags, a validator that turns the
@@ -113,11 +114,13 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
+    if sys.stdout is None:  # the process started with fd 1 closed, where print drops every line
+        print("error: stdout is closed", file=sys.stderr)
+        return 1
     try:
         with partalg.setpart._all_digits():  # argument parsing above keeps the limit
             code = execute(cmd)
-        if sys.stdout:  # None when the process started with stdout closed; print then drops the output
-            sys.stdout.flush()  # a closed or full stdout fails here, not at exit
+        sys.stdout.flush()  # a closed or full stdout fails here, not at exit
         return code
     except (ValueError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -271,9 +274,10 @@ def _run_closure(k):
 
 def _run_classification(k, weights):
     """Compare the verdicts on one diagram per shape: every test is constant on a shape (`diagram._shapes`)."""
-    bell = partalg.rep.check_diagram_count("classification", k)
+    trunc = partalg.seqmodel.DEFAULT_TRUNC_LARGE
+    partalg.rep.check_budget(partalg.rep._capped_power(trunc, k), lambda: f"classification at k = {k} scans {trunc}^{k} tuples for each shape")
     shapes = list(partalg.diagram._shapes(k))
-    m, trunc = len(shapes), partalg.seqmodel.DEFAULT_TRUNC_LARGE
+    m, bell = len(shapes), partalg.setpart.bell_number(2 * k)
     partalg.rep.check_budget(m * trunc**k, lambda: f"classification at k = {k} scans {trunc}^{k} tuples for each of {m} shapes")
     covered = sum(size for _, size in shapes)
     if covered != bell:

@@ -74,8 +74,8 @@ def _capped_power(base: int, exp: int) -> int:
     return base ** min(exp, MATRIX_NNZ_LIMIT.bit_length())
 
 
-def check_diagram_count(what: str, k: int) -> int:
-    """Refuse a walk over the Bell(2k) diagrams on k strands over the budget; return Bell(2k).
+def check_diagram_count(what: str, k: int) -> None:
+    """Refuse a walk over the Bell(2k) diagrams on k strands over the budget.
 
     The floor 2^(2k-1) <= Bell(2k) is compared first, its exponent capped
     (`_capped_power`), so a huge k is refused before the Bell triangle of
@@ -85,7 +85,6 @@ def check_diagram_count(what: str, k: int) -> int:
     check_budget(_capped_power(2, g - 1), lambda: f"{what} at k = {k} enumerates Bell({g}) >= 2^{g - 1} diagrams")
     bell = bell_number(g)
     check_budget(bell, lambda: f"{what} at k = {k} enumerates Bell({g}) = {bell} diagrams")
-    return bell
 
 
 class SparseMat(_Record):

@@ -316,15 +316,22 @@ def test_classification_verdict_fails_when_the_column_counts_disagree(capsys, mo
 
 
 def test_classification_walks_one_diagram_per_shape(capsys, monkeypatch):
-    # 109 shapes times 8^4 tuples pass the budget, where the 4140 diagrams did not
-    code, out, err = run(capsys, "verify", "classification", "--k", "4")
-    assert (code, err) == (0, "")
-    assert out.splitlines() == [
-        "k: 4",
-        "lp_matches_uniform: yes",
-        "linf_matches_bottom_propagating: yes",
-        "column_finite_matches_top_propagating: yes",
-    ]
+    # the classification neither walks the diagrams nor passes their guard: at k = 4 its 109 shapes
+    # times 8^4 tuples pass the budget, where the 4140 diagrams did not
+    def walked(*args):
+        raise AssertionError(f"the classification walked the diagrams: {args}")
+
+    monkeypatch.setattr(partalg.rep, "check_diagram_count", walked)
+    monkeypatch.setattr(partalg.diagram, "enumerate_diagrams", walked)
+    for k in range(1, 5):
+        code, out, err = run(capsys, "verify", "classification", "--k", str(k))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"k: {k}",
+            "lp_matches_uniform: yes",
+            "linf_matches_bottom_propagating: yes",
+            "column_finite_matches_top_propagating: yes",
+        ]
     code, out, err = run(capsys, "verify", "classification", "--k", "5")
     assert (code, out) == (1, "")
     assert err == "error: classification at k = 5 scans 8^5 tuples for each of 339 shapes, over the limit 1048576\n"
@@ -374,6 +381,16 @@ HUGE_POWERS = (
     ["norms", "lp", "--k", "3000", "--trunc", HUGE, "--diagram", SINGLETON_DIAGRAM],
 )
 
+# the commands that walk the diagrams, each behind `rep.check_diagram_count`
+DIAGRAM_WALKS = {("diagrams", "enumerate"), ("verify", "closure"), ("verify", "schur-weyl")}
+
+# the classification refuses by the tuples it scans: 8^k per shape before the shapes are walked, then shapes times 8^k
+SCANNED = {
+    6: "error: classification at k = 6 scans 8^6 tuples for each of 1043 shapes, over the limit 1048576\n",
+    7: "error: classification at k = 7 scans 8^7 tuples for each shape, over the limit 1048576\n",
+    2000: "error: classification at k = 2000 scans 8^2000 tuples for each shape, over the limit 1048576\n",
+}
+
 # stopped by the meter of the permutation span mod 2, at 16 times the limit, in 0.4 and 0.6 s in process
 METERED = (["verify", "schur-weyl", "--n", "11", "--k", "2"], ["verify", "schur-weyl", "--n", "7", "--k", "3"])
 
@@ -390,16 +407,17 @@ METERED = (["verify", "schur-weyl", "--n", "11", "--k", "2"], ["verify", "schur-
         (["verify", "closure", "--k", "7"], 1.0),  # Bell(14) diagrams, refused before enumerating
         (["verify", "closure", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
         (["verify", "schur-weyl", "--n", "2", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
-        (["verify", "classification", "--k", "2000"], 1.0),  # at least 2^3999 diagrams
+        (["verify", "classification", "--k", "2000"], 1.0),  # 8^2000 tuples per shape, its exponent capped
         (["diagrams", "enumerate", "--k", "6"], 1.0),  # Bell(12) diagrams, refused before enumerating
         (["diagrams", "enumerate", "--k", "5000000"], 1.0),  # at least 2^9999999 diagrams
         # 200^3 tuples in the support of p_pi
         (["invariants", "act", "--n", "200", "--diagram", "1,2,3,1',2',3'", "--pi", "1|2|3"], 1.0),
         (["verify", "schur-weyl", "--n", "1", "--k", "6"], 1.0),  # Bell(12) diagrams, before their nonzeros
-        (["verify", "classification", "--k", "6"], 1.0),  # Bell(12) diagrams, before their tuples
+        (["verify", "classification", "--k", "6"], 1.0),  # 1043 shapes times 8^6 tuples, after the shape walk
         (["norms", "lp", "--k", "1", "--diagram", "1|1'", "--trunc", "16000"], 1.0),  # 500-word weights
         *((argv, 2.0) for argv in METERED),
         *((argv, 1.0) for argv in HUGE_POWERS),
+        (["verify", "classification", "--k", "7"], 1.0),  # 8^7 tuples per shape, before any shape is walked
     ],
 )
 def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
@@ -411,8 +429,11 @@ def test_oversized_inputs_fail_fast_with_one_line(capsys, argv, seconds):
     assert err.startswith("error: ") and err.endswith(f", over the limit {limit}\n") and err.count("\n") == 1
     # from k = 6 on Bell(2k) is over the limit, and one guard refuses every walk over the diagrams
     k = int(argv[argv.index("--k") + 1]) if "--k" in argv else 0
-    if argv[0] in ("diagrams", "verify") and k >= 6:
+    if tuple(argv[:2]) in DIAGRAM_WALKS and k >= 6:
         assert " enumerates Bell(" in err
+    # the classification walks no diagram: it counts the tuples it scans for each shape
+    if argv[:2] == ["verify", "classification"] and k >= 6:
+        assert err == SCANNED[k]
 
 
 @pytest.mark.parametrize(
@@ -523,6 +544,14 @@ def test_a_failed_write_is_one_error_line_and_exit_1(argv):
         proc = _cli_process(*argv, stdout=full)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1 and err.decode().splitlines() == ["error: [Errno 28] No space left on device"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 1 in the child")
+def test_a_closed_stdout_is_one_error_line_and_exit_1():
+    # `partalg count bell --g 4 >&-`: the child starts with sys.stdout None, where print drops every line
+    proc = _cli_process("count", "bell", "--g", "4", preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"error: stdout is closed\n")
 
 
 @pytest.mark.skipif(os.name != "posix", reason="sends SIGINT")

@@ -186,7 +186,7 @@ def test_a_budget_names_an_n_of_any_length(call, message):
 
 def test_diagram_count_guard_refuses_by_its_floor_then_by_bell(monkeypatch):
     monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
-    assert rep.check_diagram_count("walk", 2) == 15  # Bell(4)
+    assert rep.check_diagram_count("walk", 2) is None  # Bell(4) = 15 passes
     # the floor 2^5 <= Bell(6) = 203 already passes 16, so the floor refuses k = 3
     with pytest.raises(BudgetExceededError) as refused:
         rep.check_diagram_count("walk", 3)
