@@ -218,7 +218,7 @@ def span_rank(mats: Sequence[SparseMat]) -> int:
     if any(m.dim != dim for m in mats):
         raise ValueError("matrices must share one dimension")
     nnz = sum(m.nnz for m in mats)
-    check_budget(dim * dim + nnz, f"span rank of {len(mats)} matrices labels {dim * dim} positions and reads {nnz} nonzeros")
+    check_budget(dim * dim + nnz, lambda: f"span rank of {len(mats)} matrices labels {dim * dim} positions and reads {nnz} nonzeros")
     label = [0] * (dim * dim)  # position -> class; class 0 is zero in every matrix so far
     parent, source, entry = [0], [0], [0]  # each class: the class it split from, that matrix and its entry there
     last = key = None
@@ -313,7 +313,7 @@ def _commutant_system(generators: Sequence[SparseMat], row: Callable[[Iterator],
         else:
             others.append(g)
     terms = 2 * dim * sum(g.nnz for g in others)
-    what = f"commutant at dimension {dim} labels {dim * dim} positions and reads {terms} terms"
+    what = lambda: f"commutant at dimension {dim} labels {dim * dim} positions and reads {terms} terms"
     check_budget(dim * dim, what)
     label, count = _position_orbits(dim, perms)
     dead = set()

@@ -54,15 +54,15 @@ class BudgetExceededError(RuntimeError):
     """A requested computation is outside the configured resource budget."""
 
 
-def check_budget(work: int, what: str | Callable[[], str]) -> None:
+def check_budget(work: int, what: Callable[[], str]) -> None:
     """Raise BudgetExceededError when work exceeds MATRIX_NNZ_LIMIT.
 
-    `what` names the computation and its size; it starts the message.  A callable is called only to
-    raise, under `setpart._all_digits`, so a passing check formats nothing and names a size of any length.
+    `what()` names the computation and its size; it starts the message.  It is called only to raise,
+    under `setpart._all_digits`, so a passing check formats nothing and names a size of any length.
     """
     if work > MATRIX_NNZ_LIMIT:
         with _all_digits():
-            raise BudgetExceededError(f"{what() if callable(what) else what}, over the limit {MATRIX_NNZ_LIMIT}")
+            raise BudgetExceededError(f"{what()}, over the limit {MATRIX_NNZ_LIMIT}")
 
 
 def _capped_power(base: int, exp: int) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import copy
 import pickle
 import random
@@ -8,6 +9,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from partalg.rep import (
     tuple_rank,
     unrank_tuple,
 )
-from partalg.setpart import SetPartition
+from partalg.setpart import SetPartition, _all_digits
 
 D2 = list(enumerate_diagrams(2))
 
@@ -105,9 +107,9 @@ def test_matrix_checks_the_nonzero_budget_before_building(monkeypatch):
     with pytest.raises(BudgetExceededError):
         matrix(singletons, 30)  # 30^7 nonzeros
     monkeypatch.setattr(rep, "MATRIX_NNZ_LIMIT", 16)
-    rep.check_budget(16, "sixteen")
+    rep.check_budget(16, lambda: "sixteen")
     with pytest.raises(BudgetExceededError, match="^sixteen plus one, over the limit 16$"):
-        rep.check_budget(17, "sixteen plus one")
+        rep.check_budget(17, lambda: "sixteen plus one")
     assert matrix(parse_diagram("1|2|1'|2'"), 2).nnz == 16
     with pytest.raises(BudgetExceededError):
         matrix(parse_diagram("1|2|3,1'|2'|3'"), 2)
@@ -169,6 +171,10 @@ FOUR_SINGLETONS = parse_diagram("1|2|1'|2'")
                  id="perm_span_dim"),
     pytest.param(lambda n: centralizer.verify_schur_weyl(n, 2),
                  "the basis diagrams at (n, k) = ({n}, 2) have sum_(b <= {n}) S(4, b) {n}^b nonzeros", id="verify_schur_weyl"),
+    pytest.param(lambda n: centralizer.span_rank([SparseMat(n, [])]),
+                 "span rank of 1 matrices labels {nn} positions and reads 0 nonzeros", id="span_rank"),
+    pytest.param(lambda n: centralizer.commutant_dimension([SparseMat(n, [])]),
+                 "commutant at dimension {n} labels {nn} positions and reads 0 terms", id="commutant_dimension"),
 ])
 def test_a_budget_names_an_n_of_any_length(call, message):
     # the message is built only when the check fails, with the digit limit lifted and then restored
@@ -181,7 +187,29 @@ def test_a_budget_names_an_n_of_any_length(call, message):
         assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
         if n != HUGE:  # an n that always printed keeps its message, byte for byte
             w = n * 2 // 64  # the l1 scan's weight words at ratio 1/2
-            assert str(refused.value) == message.format(n=n, w=w) + f", over the limit {rep.MATRIX_NNZ_LIMIT}"
+            with _all_digits():  # n * n has 8599 digits
+                expected = message.format(n=n, w=w, nn=n * n) + f", over the limit {rep.MATRIX_NNZ_LIMIT}"
+            assert str(refused.value) == expected
+
+
+def test_every_budget_check_builds_its_message_lazily():
+    # a string `what` would be formatted on every pass and fail only on a refusal, as a TypeError
+    found = set()
+    for path in sorted(Path(rep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in (f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)):
+            # names this function (or one nested in it) binds to anything but a lambda
+            strings = {t.id for node in ast.walk(func) if isinstance(node, ast.Assign) and not isinstance(node.value, ast.Lambda)
+                       for t in node.targets if isinstance(t, ast.Name)}
+            for call in (c for c in ast.walk(func) if isinstance(c, ast.Call)):
+                if getattr(call.func, "id", getattr(call.func, "attr", None)) != "check_budget":
+                    continue
+                where = f"{path.name}:{call.lineno}"
+                found.add(where)
+                what = call.args[1]
+                assert isinstance(what, (ast.Lambda, ast.Name)), f"{where} passes {ast.unparse(what)}, not a lambda or a name"
+                assert getattr(what, "id", None) not in strings, f"{where} passes {what.id}, bound to something other than a lambda"
+    assert len(found) >= 16
 
 
 def test_diagram_count_guard_refuses_by_its_floor_then_by_bell(monkeypatch):
