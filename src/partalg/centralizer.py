@@ -18,8 +18,9 @@ matrix from each position read once, the rows read from their split tree
 (`span_rank`).  The permutation span is certified mod 2 instead
 (`perm_span_dim`): its rows are int bitsets in a `_BitEchelon`, the
 `Echelon` that reduces by XOR, keyed by the live orbit unknowns of the
-diagram commutant (`_commutant_system`).  Its upper bound takes the same
-walk over the commutator rows, each XORed into a bitset as it is formed.
+diagram commutant, which it labels from kernels on the live positions alone
+(`_live_orbits`).  Its closure moves whole orbits, and its upper bound forms
+the rows of p_1 from kernel-matched tails (`_tail_rows`).
 
 There are no size caps.  What a layer allocates or reads is counted before
 it eliminates and passed to `rep.check_budget`; the elimination is metered
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import factorial, gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -287,17 +288,8 @@ def _sum_row(terms: Iterator) -> dict[int, int | Fraction]:
     return row
 
 
-def _bit_row(terms: Iterator) -> int:
-    """The integral commutator row mod 2: its live unknowns with odd entries XORed into one bitset."""
-    x = 0
-    for o, v in terms:
-        if v & 1 and o >= 0:
-            x ^= 1 << o
-    return x
-
-
-def _commutant_system(generators: Sequence[SparseMat], row: Callable[[Iterator], object] = _sum_row) -> tuple[int, int, list[int], Iterator]:
-    """The dimension, the live orbit count, each position's orbit label (-1 where dead) and the commutator rows, read lazily, each made by `row`."""
+def _commutant_system(generators: Sequence[SparseMat]) -> tuple[int, int, list[int], Iterator[dict]]:
+    """The dimension, the live orbit count, each position's orbit label (-1 where dead) and the commutator rows, read lazily."""
     gens = list(generators)
     if not gens:
         raise ValueError("at least one generator is required")
@@ -326,10 +318,10 @@ def _commutant_system(generators: Sequence[SparseMat], row: Callable[[Iterator],
             dead.update([label[a * dim + b] for b in cols[value]])
     label = [-1 if o in dead else o for o in label]
 
-    def rows() -> Iterator:
+    def rows() -> Iterator[dict]:
         check_budget(dim * dim + terms, what)
         for g in others:
-            yield from _orbit_commutator_rows(g, label, row)
+            yield from _orbit_commutator_rows(g, label)
 
     return dim, count - len(dead), label, rows()
 
@@ -370,13 +362,11 @@ def _position_orbits(dim: int, perms: Sequence[Sequence[int]]) -> tuple[list[int
     return label, count
 
 
-def _orbit_commutator_rows(g: SparseMat, label: Sequence[int], row: Callable[[Iterator], object]) -> Iterator:
-    """Rows spanning XG - GX = 0 in orbit unknowns, each made by `row(terms)`.
+def _orbit_commutator_rows(g: SparseMat, label: Sequence[int]) -> Iterator[dict]:
+    """Rows spanning XG - GX = 0 in orbit unknowns, each summed by `_sum_row`.
 
-    `terms` iterates the row's (orbit, entry) pairs, the orbit -1 where the
-    unknown is dead: `_sum_row` sums them into a dict over Z, `_bit_row`
-    XORs them into a bitset over GF(2).  Unknown X[i, j] is orbit
-    label[i * dim + j].  Integral entries of G enter the rows as ints.
+    Unknown X[i, j] is orbit label[i * dim + j], dropped where -1 (dead).
+    Integral entries of G enter the rows as ints.
     Equal columns l ~ l' of G give equal entries (XG)_{i,l} = (XG)_{i,l'}, so
     the D^2 rows R(i, l) span what these span: R(i, l) at each column-class
     representative l, and for each other l the difference R(i, l) - R(i, rep
@@ -401,13 +391,13 @@ def _orbit_commutator_rows(g: SparseMat, label: Sequence[int], row: Callable[[It
     for i in range(dim):
         at_row, js = label[i * dim:(i + 1) * dim].__getitem__, g_rows[i][0]  # X[i, j] at j
         for l, at_l in at_col.items():  # (XG)_{i,l} = sum_j X[i,j] G[j,l], minus (GX)_{i,l} = sum_j G[i,j] X[j,l]
-            yield row(chain(zip(map(at_row, g_cols[l][0]), g_cols[l][1]), zip(map(at_l, js), negated[i])))
+            yield _sum_row(chain(zip(map(at_row, g_cols[l][0]), g_cols[l][1]), zip(map(at_l, js), negated[i])))
     for l, rep_l in enumerate(col_rep):
         if rep_l != l:
             at_l, at_rep = label[l::dim].__getitem__, at_col[rep_l]
             for i in row_classes:  # sum_j G[i,j] (X[j,rep l] - X[j,l])
                 js, vs = g_rows[i]
-                yield row(chain(zip(map(at_rep, js), vs), zip(map(at_l, js), negated[i])))
+                yield _sum_row(chain(zip(map(at_rep, js), vs), zip(map(at_l, js), negated[i])))
 
 
 def centralizer_dimension(n: int, k: int) -> int:
@@ -437,37 +427,44 @@ def perm_span_dim(n: int, k: int) -> int:
     That span is the algebra generated by the matrices of s_1 and the long
     cycle.  It is built by closure: starting from the identity, each product
     that was independent when it joined the echelon is multiplied by each
-    generator, so the work grows with the span dimension, not with n!.  A
-    permutation matrix is held as the column of the one in each row, so row
-    r of m @ g has its one in column g[m[r]].
+    generator, so the work grows with the span dimension, not with n!.
 
     The closure works in the coordinates of the diagram commutant, which
-    holds the span: `_commutant_system` of the matrices of
-    `partition_algebra_generators(k)` labels the orbits of the positions
-    under the place permutations and marks dead the orbits b_1 kills.  Each
-    S_n generator is checked to commute with each diagram generator before
-    any product is keyed, so every product is constant on each orbit and
-    zero on the dead ones: 2080 orbits of 4096 positions at (8, 2), 8436 of
-    46,656 at (6, 3).
+    holds the span.  Its unknowns come from kernels (`_live_orbits`): the
+    orbits, under the place permutations, of the live positions (a, b) with
+    ker a = ker b, the only ones b_1 and the place permutations leave alive.
+    Each S_n generator is checked to commute with each diagram generator
+    before any product is keyed, so every product is constant on each orbit
+    and zero off the live positions: 1632 live orbits of 4096 positions at
+    (8, 2), 3336 of 46,656 at (6, 3).  A product is held as the list of its
+    orbits.  Row r of m @ g has its one in column g[m[r]], and (r, c) ->
+    (r, g[c]) commutes with the place permutations, so g moves whole orbits
+    (`_orbit_moves`) and no product reads its n^k positions.
 
     The rank is certified by L <= dim <= U, with no elimination over Z:
       L is the closure's rank mod 2: 0/1 rows independent mod 2 are independent over Q;
       U is n!, the number of matrices, or else the live orbits minus the rank mod 2 of the
-      integer commutator rows of `_orbit_commutator_rows`, each XORed into a bitset as it is
-      formed (`_bit_row`), not made primitive: integer rows independent mod 2 are independent
+      integer commutator rows of p_1, each XORed into a bitset from its kernel-matched tails
+      (`_tail_rows`), not made primitive: integer rows independent mod 2 are independent
       over Q, and these rows span what the diagram commutant's primitive rows span, so U is
       at least that commutant's dimension.
       L = U proves dim = L; else the closure runs again over Z.
 
-    The matrices and positions are budgeted by `matrix` and `_commutant_system`,
-    and each echelon is metered: the closure mod 2 takes 14.2 M of the 2^24
-    words at (10, 2) and is stopped at (11, 2) and (7, 3).
+    The matrices are budgeted by `matrix`, and the positions as
+    `commutant_dimension` budgets them: the D^2 labels before labelling, and
+    with the 2 * D * nnz terms of p_1 before the first row of U.  Each
+    echelon is metered: the closure mod 2 takes 8.6 M of the 2^24 words at
+    (10, 2) and is stopped at (11, 2) and (7, 3).
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive integers")
     diagrams = partition_algebra_generators(k)
     mats = [matrix(d, n) for d in diagrams]
-    dim, live, label, rows = _commutant_system(mats, _bit_row)
+    dim = n**k
+    terms = 2 * dim * mats[0].nnz  # the rows of p_1
+    budget = lambda: f"commutant at dimension {dim} labels {dim * dim} positions and reads {terms} terms"
+    check_budget(dim * dim, budget)
+    label, first = _live_orbits(n, k, [s for s in map(_permutation, mats) if s is not None])
     gens = [_permutation(perm_matrix(s, k)) for s in symmetric_group_generators(n)]
     for d, m in zip(diagrams, mats):
         entries = dict(zip(m._ranks, m.values))
@@ -475,40 +472,116 @@ def perm_span_dim(n: int, k: int) -> int:
             if {g[p // dim] * dim + g[p % dim]: v for p, v in entries.items()} != entries:
                 raise RuntimeError(f"permutation span at (n, k) = ({n}, {k}): a generator of S_{n} does not commute with the diagram {d}")
     what = f"permutation span at (n, k) = ({n}, {k})"
-    width = (max(label) + 8) // 8
-    columns = [label[c * dim:(c + 1) * dim] for c in range(dim)]  # keyed column-major: the product's (r, c) at columns[c][r]
-
-    def bits(p: list[int]) -> int:
-        row = bytearray(width)
-        for r, c in enumerate(p):
-            o = columns[c][r]
-            row[o >> 3] |= 1 << (o & 7)
-        return int.from_bytes(row, "little")
-
-    lower = _closure_rank(gens, _BitEchelon(f"{what} mod 2"), bits)
+    moves = [_orbit_moves(label, first, g) for g in gens]
+    identity = sorted(set(label[::dim + 1]))  # the orbits of the diagonal
+    lower = _closure_rank(identity, moves, _BitEchelon(f"{what} mod 2"), _xor_bits)
     if lower == factorial(n):
         return lower
-    upper = _BitEchelon(f"commutant at dimension {dim} mod 2 in {live} orbit unknowns")
-    # distinct and ascending: 7.3 M words at (6, 3), against 9.8 M unsorted and 23 M descending
-    rows = sorted(set(rows), reverse=True)
+    check_budget(dim * dim + terms, budget)
+    upper = _BitEchelon(f"commutant at dimension {dim} mod 2 in {len(first)} orbit unknowns")
+    # distinct and ascending: 3.0 M words at (6, 3), against 9.8 M descending
+    rows = sorted(set(_tail_rows(n, k, label)), reverse=True)
     while rows:  # ascending, each row dropped as it is fed
         upper.add(rows.pop())
-    if lower == live - upper.rank:
+    if lower == len(first) - upper.rank:
         return lower
-    # keyed column-major: fewer updates than row-major in this closure
-    return _closure_rank(gens, Echelon(what), lambda p: {columns[c][r]: 1 for r, c in enumerate(p)})
+    return _closure_rank(identity, moves, Echelon(what), lambda orbits: dict.fromkeys(orbits, 1))
 
 
-def _closure_rank(gens: Sequence[list[int]], echelon: Echelon, row: Callable[[list[int]], object]) -> int:
-    """Rank of the algebra the permutations `gens` generate, each product added to `echelon` as `row(p)`."""
-    identity = list(range(len(gens[0])))
+def _kernel_classes(n: int, k: int) -> list[list[int]]:
+    """Each k-tuple's class: the ascending indices of the k-tuples over [n] with its kernel.
+
+    The kernel of a tuple is its pattern of equal entries: a and b share it
+    when a_i = a_j exactly where b_i = b_j.
+    """
+    classes: dict[tuple[int, ...], list[int]] = {}
+    of = [classes.setdefault(tuple(map(t.index, t)), []) for t in product(range(n), repeat=k)]
+    for a, group in enumerate(of):
+        group.append(a)
+    return of
+
+
+def _live_orbits(n: int, k: int, perms: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Labels of the diagram commutant's live orbits at each of the n^2k positions (-1 where dead), and each orbit's first position.
+
+    X commutes with the diagonal b_1 exactly when X[a, b] = 0 wherever
+    [a_1 = a_2] != [b_1 = b_2], and with the place permutations `perms`
+    exactly when X[a, b] = X[s a, s b].  They generate S_k on the places, so
+    every pair of places can be moved to the first two: the live positions
+    are exactly those with ker a = ker b, and they are closed under `perms`.
+    Only they are flood-filled, from the live starts in ascending order, so
+    the orbits keep the order of their first positions.
+    """
+    dim = n**k
+    label = [-1] * (dim * dim)
+    first: list[int] = []
+    for a, group in enumerate(_kernel_classes(n, k)):
+        for b in group:
+            start = a * dim + b
+            if label[start] >= 0:
+                continue
+            o = label[start] = len(first)
+            first.append(start)
+            stack = [start]
+            while stack:
+                r, c = divmod(stack.pop(), dim)
+                for s in perms:
+                    q = s[r] * dim + s[c]
+                    if label[q] < 0:
+                        label[q] = o
+                        stack.append(q)
+    return label, first
+
+
+def _orbit_moves(label: Sequence[int], first: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Each live orbit's image under (r, c) -> (r, g[c]), read at its first position."""
+    dim = len(g)
+    return [label[p - p % dim + g[p % dim]] for p in first]
+
+
+def _tail_rows(n: int, k: int, label: Sequence[int]) -> Iterator[int]:
+    """The commutator rows of p_1 in the live orbit unknowns, each reduced mod 2 into a bitset.
+
+    With m = n^(k-1), tuple x * m + t has first entry x and tail t.  p_1 has
+    its ones at the (a, b) with equal tails, so its rows, and its columns, are
+    equal exactly when their tails are.  At row i = x * m + s and column
+    class t, `_orbit_commutator_rows` forms (XG)_{i,t} - (GX)_{i,t}: X[i, y * m
+    + t] over y, a slice of label row i, minus X[y * m + s, t], a slice down
+    column t.  At each other column l = y * m + t and tail s it forms
+    (GX)_{i,t} - (GX)_{i,l}, two slices down columns.  A term is live only
+    when its two tuples share a kernel, which needs ker s = ker t, so only
+    those pairs of tails are walked.
+    """
+    dim = n**k
+    m = dim // n
+    stride = m * dim  # x -> x + 1 in the first place of the row tuple
+    for s, group in enumerate(_kernel_classes(n, k - 1)):
+        for t in group:
+            down = _xor_bits(label[s * dim + t::stride])  # (GX)_{i, t}, the same at each i with tail s
+            for i in range(s, dim, m):
+                yield down ^ _xor_bits(label[i * dim + t:(i + 1) * dim:m])  # (XG)_{i, t}
+            for l in range(t + m, dim, m):
+                yield down ^ _xor_bits(label[s * dim + l::stride])  # (GX)_{i, l}
+
+
+def _xor_bits(orbits: Iterable[int]) -> int:
+    """The bitset of the orbits that occur an odd number of times, the dead label -1 skipped."""
+    x = 0
+    for o in orbits:
+        if o >= 0:
+            x ^= 1 << o
+    return x
+
+
+def _closure_rank(identity: list[int], moves: Sequence[list[int]], echelon: Echelon, row: Callable[[list[int]], object]) -> int:
+    """Rank of the algebra generated by the permutations that move the live orbits by `moves`, each product's orbits added as `row(orbits)`."""
     echelon.add(row(identity))
     frontier = [identity]
     while frontier:
         grown = []
         for m in frontier:
-            for g in gens:
-                p = [g[c] for c in m]
+            for move in moves:
+                p = [move[o] for o in m]
                 if echelon.add(row(p)):
                     grown.append(p)
         frontier = grown

@@ -536,37 +536,30 @@ def test_the_permutation_span_is_certified_without_elimination_over_z(monkeypatc
     for n in range(1, 7):
         assert perm_span_dim(n, 3) == perm_span_expected(n, 3), n
     # k >= n - 1: the lower bound reaches n!, and no commutator row is read
-    system = centralizer._commutant_system
+    def unread(n, k, label):
+        raise AssertionError("a commutator row was read")
+        yield
 
-    def unread(generators, *row):
-        dim, live, label, _ = system(generators, *row)
-
-        def rows():
-            raise AssertionError("a commutator row was read")
-            yield
-
-        return dim, live, label, rows()
-
-    monkeypatch.setattr(centralizer, "_commutant_system", unread)
+    monkeypatch.setattr(centralizer, "_tail_rows", unread)
     for n in range(1, 6):
         for k in range(max(n - 1, 1), 5):
             assert perm_span_dim(n, k) == perm_span_expected(n, k) == factorial(n), (n, k)
 
 
 def test_an_upper_bound_that_misses_runs_the_integer_closure(monkeypatch):
-    system = centralizer._commutant_system
+    orbits = centralizer._live_orbits
     made = []
 
-    def one_more_orbit(generators, *row):  # the upper bound, live orbits minus a rank mod 2, grows by one
-        dim, live, label, rows = system(generators, *row)
-        return dim, live + 1, label, rows
+    def one_more_orbit(n, k, perms):  # the upper bound, live orbits minus a rank mod 2, grows by one
+        label, first = orbits(n, k, perms)
+        return label, first + first[-1:]
 
     class Recorded(Echelon):
         def __init__(self, what="elimination"):
             super().__init__(what)
             made.append(what)
 
-    monkeypatch.setattr(centralizer, "_commutant_system", one_more_orbit)
+    monkeypatch.setattr(centralizer, "_live_orbits", one_more_orbit)
     monkeypatch.setattr(centralizer, "Echelon", Recorded)
     for n, k in ((3, 1), (5, 1), (4, 2), (5, 2), (7, 2), (5, 3)):
         made.clear()
@@ -575,8 +568,8 @@ def test_an_upper_bound_that_misses_runs_the_integer_closure(monkeypatch):
 
 
 def test_the_raw_rows_bound_the_permutation_span_as_the_primitive_rows_do():
-    # U = live orbits minus the rank mod 2 of the commutator rows as formed, which perm_span_dim reads,
-    # equals U from the rows made primitive, and the closed form
+    # U = live orbits minus the rank mod 2 of the commutator rows as formed, which perm_span_dim
+    # forms from tails, equals U from the rows made primitive, and the closed form
     sizes = [(n, 2) for n in range(1, 10)] + [(n, 3) for n in range(1, 6)] + [(n, 4) for n in range(1, 5)] + [(2, 5), (3, 5)]
     for n, k in sizes:
         _, live, _, rows = centralizer._commutant_system([matrix(d, n) for d in partition_algebra_generators(k)])
@@ -618,20 +611,69 @@ def _fixture_verify_sizes() -> set[tuple[int, int]]:
             if c["argv"][:3] == ["verify", "schur-weyl", "--n"] and c["argv"][4:5] == ["--k"] and c["exit"] == 0}
 
 
-def test_the_bitset_rows_are_the_formed_rows_mod_2():
-    # one walk, two accumulators: the rows over Z and the bitsets mod 2, against the dicts formed term by term
-    # and each reduced mod 2 as sum(1 << o for odd entries), on every verify size that passes in the CLI
-    # fixture and on n <= 6, k <= 3
+def _kernel_system_sizes() -> list[tuple[int, int]]:
+    # every verify size that passes in the CLI fixture, n <= 6 with k <= 3, and the frontier at k = 4, 5, 6
     sizes = _fixture_verify_sizes()
     assert {(10, 1), (8, 2), (5, 3), (3, 4), (2, 5)} <= sizes
-    for n, k in sorted(sizes | set(product(range(1, 7), range(1, 4)))):
-        mats = [matrix(d, n) for d in partition_algebra_generators(k)]
-        dim, _, label, bits = centralizer._commutant_system(mats, centralizer._bit_row)
-        _, _, _, rows = centralizer._commutant_system(mats)
+    return sorted(sizes | set(product(range(1, 7), range(1, 4))) | {(4, 4), (3, 5), (2, 6)})
+
+
+def _old_and_new_labels(n: int, k: int):
+    # the diagram commutant's flood-filled labels with gaps, the labels from kernels, and the map between them
+    mats = [matrix(d, n) for d in partition_algebra_generators(k)]
+    _, live, old, rows = centralizer._commutant_system(mats)
+    label, first = centralizer._live_orbits(n, k, [s for s in map(_permutation, mats) if s is not None])
+    new_of = {o: i for i, o in enumerate(sorted(set(old) - {-1}))}
+    return mats, live, old, rows, label, first, new_of
+
+
+def _mod_2(rows, new_of: dict[int, int]) -> set[int]:
+    # the distinct nonzero rows mod 2 as bitsets, old labels mapped to new
+    return {sum(1 << new_of[o] for o, v in row.items() if v % 2) for row in rows} - {0}
+
+
+def test_the_live_orbits_from_kernels_are_the_diagram_commutants():
+    # ker a = ker b marks the same live positions as b_1 and the place permutations, with the same
+    # orbit partition, numbered in the same order: only the gaps of the dead orbits go
+    for n, k in _kernel_system_sizes():
+        _, live, old, _, label, first, new_of = _old_and_new_labels(n, k)
+        assert label == [new_of[o] if o >= 0 else -1 for o in old], (n, k)
+        assert [label[p] for p in first] == list(range(live)) and first == sorted(first), (n, k)
+        assert all(p >= first[o] for p, o in enumerate(label) if o >= 0), (n, k)  # each orbit's first position
+
+
+def test_the_tail_rows_are_the_commutator_rows_mod_2():
+    # the rows of p_1 from kernel-matched tails span, mod 2, exactly the distinct nonzero rows
+    # that _orbit_commutator_rows forms over all of p_1's classes of equal rows and columns
+    for n, k in _kernel_system_sizes():
+        _, _, _, rows, label, _, new_of = _old_and_new_labels(n, k)
+        assert set(centralizer._tail_rows(n, k, label)) - {0} == _mod_2(rows, new_of), (n, k)
+
+
+def test_each_generator_of_s_n_moves_whole_live_orbits():
+    # (r, c) -> (r, g[c]) takes every position of an orbit into the orbit its first position goes to
+    for n, k in _kernel_system_sizes():
+        _, _, _, _, label, first, _ = _old_and_new_labels(n, k)
+        dim = n**k
+        for s in symmetric_group_generators(n):
+            g = _permutation(perm_matrix(s, k))
+            move = centralizer._orbit_moves(label, first, g)
+            assert sorted(move) == list(range(len(first))), (n, k, s)
+            for r, c in product(range(dim), repeat=2):
+                if label[r * dim + c] >= 0:
+                    assert label[r * dim + g[c]] == move[label[r * dim + c]], (n, k, s, r, c)
+
+
+def test_the_bitset_rows_are_the_formed_rows_mod_2():
+    # the rows over Z of _commutant_system against the dicts formed term by term, and the bitsets of
+    # _tail_rows against those dicts reduced mod 2, on every verify size that passes in the CLI fixture,
+    # on n <= 6 with k <= 3, and on (4, 4), (3, 5) and (2, 6)
+    for n, k in _kernel_system_sizes():
+        mats, _, old, rows, label, _, new_of = _old_and_new_labels(n, k)
         others = [g for g in mats if _permutation(g) is None and any(r != c for r, c, _ in g.triples)]
-        formed = [row for g in others for row in _formed_rows_oracle(g, label)]
-        assert sorted(bits) == sorted(sum(1 << o for o, v in row.items() if v % 2) for row in formed), (n, k)
+        formed = [row for g in others for row in _formed_rows_oracle(g, old)]
         assert sorted(sorted(row.items()) for row in rows) == sorted(sorted(row.items()) for row in formed), (n, k)
+        assert set(centralizer._tail_rows(n, k, label)) - {0} == _mod_2(formed, new_of), (n, k)
     # even and odd integer entries, which the diagram matrices never have, beside a permutation that gives orbits
     rng = random.Random(36)
     for dim in (3, 4, 5, 6):
@@ -640,9 +682,9 @@ def test_the_bitset_rows_are_the_formed_rows_mod_2():
             g = SparseMat(dim, [(rng.randrange(dim), rng.randrange(dim), rng.randint(-3, 3)) for _ in range(2 * dim)])
             if _permutation(g) is not None or all(r == c for r, c, _ in g.triples):
                 continue
-            _, _, label, bits = centralizer._commutant_system([cycle, g], centralizer._bit_row)
+            _, _, label, rows = centralizer._commutant_system([cycle, g])
             formed = list(_formed_rows_oracle(g, label))
-            assert sorted(bits) == sorted(sum(1 << o for o, v in row.items() if v % 2) for row in formed), (dim, g)
+            assert sorted(sorted(row.items()) for row in rows) == sorted(sorted(row.items()) for row in formed), (dim, g)
 
 
 def test_the_diagram_commutant_eliminates_its_rarest_unknowns_first(monkeypatch):
@@ -698,10 +740,12 @@ def test_every_closure_product_is_constant_on_the_place_orbits():
 
 
 def test_every_permutation_matrix_is_zero_on_the_dead_orbits():
-    # the permutation span is keyed by the diagram commutant's live orbit labels
+    # the permutation span is keyed by the diagram commutant's live orbit labels, from kernels
     for n in range(1, 6):
         for k in range(1, 4):
-            dim, _, label, _ = centralizer._commutant_system([matrix(d, n) for d in partition_algebra_generators(k)])
+            dim = n**k
+            places = [s for s in (_permutation(matrix(d, n)) for d in partition_algebra_generators(k)) if s is not None]
+            label, _ = centralizer._live_orbits(n, k, places)
             for images in permutations(range(1, n + 1)):
                 assert all(label[r * dim + c] >= 0 for r, c, _ in perm_matrix(PermWord(images), k).triples), (n, k, images)
 
@@ -733,11 +777,10 @@ def test_the_place_orbits_are_labelled_once_per_commutant(monkeypatch):
     monkeypatch.setattr(centralizer, "_position_orbits", counted)
     for n, k in ((3, 1), (4, 2), (5, 2), (3, 2), (2, 3)):  # L < n! first, then L = n!
         calls.clear()
-        perm_span_dim(n, k)
-        assert len(calls) == 1, (n, k)
-        calls.clear()
-        verify_schur_weyl(n, k)  # the permutation span and the two commutants
-        assert len(calls) == 3, (n, k)
+        perm_span_dim(n, k)  # labelled from kernels, with no flood fill over all positions
+        assert calls == [], (n, k)
+        verify_schur_weyl(n, k)  # the two commutants
+        assert len(calls) == 2, (n, k)
 
 
 def test_the_span_at_n_factorial_reads_no_commutator_terms(monkeypatch):
@@ -805,7 +848,7 @@ def test_the_echelon_stops_past_sixteen_times_the_limit(monkeypatch):
     monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 2401)
     with pytest.raises(BudgetExceededError) as exc:
         perm_span_dim(7, 2)
-    assert str(exc.value) == "permutation span at (n, k) = (7, 2) mod 2 stopped after 38422 words at rank 279, over the limit 38416"
+    assert str(exc.value) == "permutation span at (n, k) = (7, 2) mod 2 stopped after 38418 words at rank 304, over the limit 38416"
     # the limit is read when an echelon is made: at the default limit the same size finishes
     monkeypatch.setattr(rep_module, "MATRIX_NNZ_LIMIT", 2**20)
     assert perm_span_dim(7, 2) == 458

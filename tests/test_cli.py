@@ -349,7 +349,7 @@ def test_budget_errors_surface_as_runtime_failures(capsys, monkeypatch):
     monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 8192)
     code, out, err = run(capsys, "verify", "schur-weyl", "--n", "7", "--k", "2")
     assert (code, out) == (1, "")
-    assert err == "error: permutation span at (n, k) = (7, 2) mod 2 stopped after 131080 words at rank 427, over the limit 131072\n"
+    assert err == "error: permutation span at (n, k) = (7, 2) mod 2 stopped after 131079 words at rank 450, over the limit 131072\n"
     # at (6, 2) the closure mod 2 passes the meter, and its upper bound's commutator rows
     # are refused before the first is formed
     monkeypatch.setattr(partalg.rep, "MATRIX_NNZ_LIMIT", 4096)
@@ -391,7 +391,7 @@ SCANNED = {
     2000: "error: classification at k = 2000 scans 8^2000 tuples for each shape, over the limit 1048576\n",
 }
 
-# stopped by the meter of the permutation span mod 2, at 16 times the limit, in 0.4 and 0.6 s in process
+# stopped by the meter of the permutation span mod 2, at 16 times the limit, in about 0.15 s each in process
 METERED = (["verify", "schur-weyl", "--n", "11", "--k", "2"], ["verify", "schur-weyl", "--n", "7", "--k", "3"])
 
 
