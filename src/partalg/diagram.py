@@ -6,6 +6,12 @@ and vertices k..2k-1 are the bottom row (printed 1'..k').  The product of
 two diagrams stacks the first above the second, fuses the shared row, and
 pays one factor of the loop parameter per component swallowed in the
 middle, so coefficients are polynomials in that parameter.
+
+The public constructors of `Diagram`, `Poly` and `AlgebraElement` check and
+normalise what they are given.  The product path builds its values normal
+(a partition on 2k vertices, `Fraction` coefficients with 0 and 1 shared and
+no trailing zero, nonzero terms of one k), so it wraps them through each
+class's private `_trusted` constructor and checks nothing twice.
 """
 
 from __future__ import annotations
@@ -52,6 +58,14 @@ class Diagram(_Record):
             raise ValueError(f"partition covers {part.ground_size} vertices, expected {2 * k}")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "part", part)
+
+    @classmethod
+    def _trusted(cls, k: int, part: SetPartition) -> "Diagram":
+        """Wrap a partition already known to cover 2k vertices, k >= 1, without checking it again."""
+        d = cls.__new__(cls)
+        object.__setattr__(d, "k", k)
+        object.__setattr__(d, "part", part)
+        return d
 
     @property
     def block_rows(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -272,7 +286,7 @@ def concat(d1: Diagram, d2: Diagram) -> tuple[Diagram, int]:
         raise ValueError(f"cannot concatenate diagrams with k={d1.k} and k={d2.k}")
     k = d1.k
     part, swallowed = _stack(d1.part, d2.part, k, k)
-    return Diagram(k, part), swallowed
+    return Diagram._trusted(k, part), swallowed
 
 
 def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int) -> tuple[SetPartition, int]:
@@ -293,6 +307,13 @@ def _stack(p1: SetPartition, p2: SetPartition, top: int, mid: int) -> tuple[SetP
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
+def _coefficient(c) -> Fraction:
+    """c as a Fraction, 0 and 1 as the shared `_ZERO` and `_ONE`; only an int is compared before it is converted."""
+    if type(c) is not Fraction and type(c) is not int:
+        c = Fraction(c)
+    return _ZERO if c == 0 else _ONE if c == 1 else c if type(c) is Fraction else Fraction(c)
+
+
 class Poly(_Record):
     """Polynomial in the loop parameter with exact rational coefficients.
 
@@ -304,10 +325,18 @@ class Poly(_Record):
     __slots__ = __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(_ZERO if c == 0 else _ONE if c == 1 else c if type(c) is Fraction else Fraction(c) for c in coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        cs = [_coefficient(c) for c in coeffs]
+        end = len(cs)
+        while end and cs[end - 1] is _ZERO:
+            end -= 1
+        object.__setattr__(self, "coeffs", tuple(cs[:end]))
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[Fraction, ...]) -> "Poly":
+        """Wrap coefficients already normal: `Fraction`s, 0 and 1 shared, no trailing zero."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     @classmethod
     def of(cls, *coeffs) -> "Poly":
@@ -325,7 +354,7 @@ class Poly(_Record):
     def x_power(cls, m: int) -> "Poly":
         if m < 0:
             raise ValueError("power must be non-negative")
-        return cls((_ZERO,) * m + (_ONE,))
+        return cls._trusted((_ZERO,) * m + (_ONE,))
 
     @property
     def degree(self) -> int:
@@ -349,6 +378,10 @@ class Poly(_Record):
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
+        if self.coeffs == _UNIT:
+            return other
+        if other.coeffs == _UNIT:
+            return self
         out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -364,7 +397,7 @@ class Poly(_Record):
         """Multiply by the m-th power of the loop parameter."""
         if m < 0:
             raise ValueError("shift must be non-negative")
-        return Poly((_ZERO,) * m + self.coeffs)
+        return Poly._trusted((_ZERO,) * m + self.coeffs) if m and self.coeffs else self
 
     def __call__(self, value) -> Fraction:
         acc = Fraction(0)
@@ -390,6 +423,10 @@ class Poly(_Record):
         return " + ".join(parts)
 
 
+_UNIT = (_ONE,)  # the coefficients of the polynomial 1
+_UNIT_POLY = Poly._trusted(_UNIT)
+
+
 class AlgebraElement(_Record):
     """A finite linear combination of same-k diagrams with Poly coefficients; unhashable, as its terms are a dict."""
 
@@ -410,7 +447,17 @@ class AlgebraElement(_Record):
         self._set_fields(k, {d: c for d, c in acc.items() if not c.is_zero()})
 
     @classmethod
-    def from_diagram(cls, d: Diagram, coeff: Poly | int | Fraction = 1) -> "AlgebraElement":
+    def _trusted(cls, k: int, terms: dict[Diagram, Poly]) -> "AlgebraElement":
+        """Wrap terms already normal: diagrams of this k >= 1, each with a nonzero Poly, in a dict of its own."""
+        e = cls.__new__(cls)
+        object.__setattr__(e, "k", k)
+        object.__setattr__(e, "_terms", terms)
+        return e
+
+    @classmethod
+    def from_diagram(cls, d: Diagram, coeff: Poly | int | Fraction = _UNIT_POLY) -> "AlgebraElement":
+        if coeff is _UNIT_POLY:
+            return cls._trusted(d.k, {d: coeff})
         return cls(d.k, {d: coeff})
 
     @classmethod
@@ -453,15 +500,23 @@ class AlgebraElement(_Record):
 
 
 def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the diagram product to linear combinations."""
+    """Bilinear extension of the diagram product to linear combinations.
+
+    Each pair of terms costs one `concat` and one product of coefficients,
+    shifted by the middle components swallowed.  The products are collected
+    in one dict and added only when a diagram repeats, where they may cancel;
+    the operands' terms are already normal, so the result is wrapped without
+    the public constructor's checks.
+    """
     if a.k != b.k:
         raise ValueError("cannot multiply elements with different k")
-    terms = []
+    acc: dict[Diagram, Poly] = {}
     for d1, c1 in a._terms.items():
         for d2, c2 in b._terms.items():
             d, m = concat(d1, d2)
-            terms.append((d, (c1 * c2).shifted(m)))
-    return AlgebraElement(a.k, terms)
+            c = (c1 * c2).shifted(m)
+            acc[d] = acc[d] + c if d in acc else c
+    return AlgebraElement._trusted(a.k, {d: c for d, c in acc.items() if c.coeffs})
 
 
 class RectDiagram(_Record):

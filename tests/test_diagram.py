@@ -4,6 +4,7 @@ import contextlib
 import io
 import random
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -202,6 +203,8 @@ def test_concat_singleton_strand_swallows_a_component():
     assert concat(d, d) == (d, 1)
     e = AlgebraElement.from_diagram(d)
     assert multiply(e, e) == AlgebraElement.from_diagram(d, Poly.x_power(1))
+    # (x·1 - d)·d = x·d - x·d: terms that cancel leave no zero term behind
+    assert multiply(AlgebraElement(1, {identity(1): Poly.x_power(1), d: -1}), e) == AlgebraElement(1)
 
 
 def test_concat_matches_independent_oracle():
@@ -268,6 +271,77 @@ def test_multiply_identity_element():
         one = AlgebraElement.identity(k)
         assert multiply(one, elem) == elem
         assert multiply(elem, one) == elem
+
+
+# coefficient lists of degree <= 3 mixing ints, Fractions and zeros, as the public constructors receive them
+_COEFFS = st.lists(
+    st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3), st.sampled_from([0, Fraction(0), 1])),
+    max_size=4,
+)
+
+
+def _oracle_add(acc: dict[tuple[int, ...], list[Fraction]], rgs: tuple[int, ...], cs) -> None:
+    row = acc.setdefault(rgs, [])
+    row.extend([Fraction(0)] * (len(cs) - len(row)))
+    for i, c in enumerate(cs):
+        row[i] += Fraction(c)
+
+
+def _oracle_normal(acc: dict[tuple[int, ...], list[Fraction]]) -> list[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    out = []
+    for rgs, row in sorted(acc.items()):
+        while row and row[-1] == 0:
+            row.pop()
+        if row:
+            out.append((rgs, tuple(row)))
+    return out
+
+
+def _oracle_element(terms) -> list[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    acc: dict[tuple[int, ...], list[Fraction]] = {}
+    for d, cs in terms:
+        _oracle_add(acc, d.part.rgs, cs)
+    return _oracle_normal(acc)
+
+
+def _read(e: AlgebraElement) -> list[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    """The terms of e as (rgs, coefficients), after checking that each coefficient is normal."""
+    zero, one = Poly.x_power(1).coeffs
+    for _, c in e.terms():
+        assert c.coeffs and c.coeffs[-1] != 0 and all(type(x) is Fraction for x in c.coeffs)
+        assert all(x is zero for x in c.coeffs if x == 0) and all(x is one for x in c.coeffs if x == 1)
+    return [(d.part.rgs, c.coeffs) for d, c in e.terms()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_element_arithmetic_matches_convolved_fraction_lists(data):
+    k = data.draw(st.integers(1, 3))
+    pool = list(enumerate_diagrams(k))
+    terms = st.lists(st.tuples(st.sampled_from(pool), _COEFFS), max_size=4)
+    ta, tb = data.draw(terms), data.draw(terms)
+    a = AlgebraElement(k, [(d, Poly(cs)) for d, cs in ta])
+    b = AlgebraElement(k, [(d, Poly(cs)) for d, cs in tb])
+    oa, ob = _oracle_element(ta), _oracle_element(tb)
+    assert _read(a) == oa and _read(b) == ob
+    assert _read(a + b) == _oracle_element(ta + tb)
+    # multiply: each pair of terms is one concat, its coefficient lists convolved and shifted by the middle count
+    diagrams = {d.part.rgs: d for d, _ in ta + tb}
+    acc: dict[tuple[int, ...], list[Fraction]] = {}
+    for r1, c1 in oa:
+        for r2, c2 in ob:
+            d, m = concat(diagrams[r1], diagrams[r2])
+            conv = [Fraction(0)] * (m + len(c1) + len(c2) - 1)
+            for i, x in enumerate(c1):
+                for j, y in enumerate(c2):
+                    conv[m + i + j] += x * y
+            _oracle_add(acc, d.part.rgs, conv)
+    assert _read(multiply(a, b)) == _oracle_normal(acc)
+    s = data.draw(st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)))
+    assert _read(s * a) == _oracle_element([(d, [s * Fraction(c) for c in cs]) for d, cs in ta])
+    cs, m = data.draw(_COEFFS), data.draw(st.integers(0, 3))
+    shifted = AlgebraElement.from_diagram(pool[0], Poly(cs).shifted(m))
+    assert _read(shifted) == _oracle_element([(pool[0], [0] * m + cs)])
 
 
 def test_subset_predicates_on_display_diagrams():
@@ -583,11 +657,23 @@ def test_poly_coefficients_are_fractions_with_zero_and_one_shared():
     assert p.coeffs == (half, 0, 1, 1, 1, 1, 3) and all(type(c) is Fraction for c in p.coeffs)
     assert p.coeffs[0] is half  # a Fraction is kept, not copied
     assert all(c is p.coeffs[1] for c in Poly([0, Fraction(0), 0.0, 1]).coeffs[:3])
-    assert all(c is p.coeffs[4] for c in p.coeffs[3:6])
+    assert all(c is p.coeffs[4] for c in p.coeffs[2:6])
+    # a string is read before it is compared: the JSON coefficients "0/1" and "1/1" are the shared 0 and 1 too
+    q = Poly(["0/1", "1", "0", "1/1", "2/4", "0/1"])
+    assert q.coeffs == (0, 1, 0, 1, half) and all(type(c) is Fraction for c in q.coeffs)
+    assert q.coeffs[0] is q.coeffs[2] is p.coeffs[1] and q.coeffs[1] is q.coeffs[3] is p.coeffs[4]
     # the coefficient x^m of a product of two diagrams holds only the shared 0 and 1
     d = parse_diagram("1|2|1'|2'")
     (term, coeff), = multiply(AlgebraElement.from_diagram(d), AlgebraElement.from_diagram(d)).terms()
     assert coeff == Poly.x_power(2) and {id(c) for c in coeff.coeffs} == {id(p.coeffs[1]), id(p.coeffs[4])}
+
+
+def test_poly_strips_trailing_zeros_in_one_pass():
+    start = time.perf_counter()
+    assert Poly([1] + [0] * 10**6).coeffs == (1,)
+    x = Poly.x_power(40000)
+    assert (x - x).is_zero()
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize(
